@@ -53,6 +53,7 @@ from .model import (
     load_params,
     loss_batch,
     predict_class,
+    predict_classes,
     save_params,
 )
 from .stats import (

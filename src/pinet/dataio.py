@@ -212,6 +212,7 @@ def load_tu(dir_path, dataset_name: str) -> Dataset:
 
 
 DATASET_FORMAT = "pinet-dataset-v1"
+_HEADER_FIELDS = ("name", "n_pad", "d", "class_count", "label_map")
 
 
 def _canonical_mask(g: LabeledGraph) -> bool:
@@ -263,6 +264,9 @@ def load_dataset(path) -> Dataset:
         raise DataFormatError(
             f"unsupported dataset format {header.get('format')!r}", path=str(path)
         )
+    missing = [k for k in _HEADER_FIELDS if k not in header]
+    if missing:
+        raise DataFormatError(f"header lacks field {missing[0]!r}", path=str(path), line=1)
     n_pad, d = header["n_pad"], header["d"]
     graphs = []
     for i, text in enumerate(lines[1:], start=2):

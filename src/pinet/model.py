@@ -6,6 +6,15 @@ product of the two tower outputs pools node states into a fixed-size
 graph representation, which a dense layer maps to class probabilities.
 Every message-passing layer owns its own (p, q) pair controlling the
 propagation matrix, trainable alongside the weights.
+
+All entry points run the same code over a stack of graphs sharing N:
+the node states of B graphs form one (B*N) x F matrix (graph b in rows
+b*N..(b+1)*N-1), each layer is one `tensor.propagate` op over the whole
+stack, and `tensor.attention_pool` pools every graph at once. A
+training batch is one stack; `forward` is a stack of one; `evaluate`
+scores stacks of graphs grouped by N. The propagation matrix At(p, q)
+is never built here; `graph.propagation_matrix` builds it as the
+reference implementation.
 """
 
 from __future__ import annotations
@@ -16,19 +25,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, DomainError, ShapeError
-from .graph import Batch, LabeledGraph, propagation_matrix
+from .graph import Batch, LabeledGraph
 from .tensor import (
     Mat,
     Tape,
+    attention_pool,
+    attention_softmax,
     backward,
-    col_scale,
     cross_entropy,
     matmul,
+    propagate,
     relu,
-    reshape_rowmajor,
     softmax_masked,
-    transpose,
-    vstack,
 )
 
 WEIGHT_NAMES = ("w_x0", "w_x1", "w_a0", "w_a1", "w_d")
@@ -136,16 +144,48 @@ def init_params(config: PiNetConfig) -> PiNetParams:
     return PiNetParams(values, config)
 
 
-def _tower(g: LabeledGraph, params: PiNetParams, kind: str) -> Mat:
-    """Two message-passing layers: relu(At1 @ relu(At0 @ X @ W0) @ W1)
-    without the outer relu for the attention tower (its nonlinearity is
-    the softmax applied by the caller)."""
+def _stack(graphs, masks=None) -> tuple[np.ndarray, Mat, np.ndarray]:
+    """B x N x N adjacency, (B*N) x d features and B x N mask of graphs
+    sharing N and d; graph b holds rows b*N..(b+1)*N-1 of the features."""
+    n, d = graphs[0].n, graphs[0].d
+    for i, g in enumerate(graphs):
+        if g.n != n or g.d != d:
+            raise ShapeError(f"graph {i} has N={g.n}, d={g.d}; expected N={n}, d={d}")
+    adj = np.stack([g.adjacency.data for g in graphs])
+    x = Mat(np.concatenate([g.features.data for g in graphs]))
+    if masks is None:
+        masks = [g.node_mask for g in graphs]
+    return adj, x, np.stack([np.asarray(m, dtype=bool).reshape(-1) for m in masks])
+
+
+def _tower_stack(adj: np.ndarray, x: Mat, params: PiNetParams, kind: str) -> Mat:
+    """Two message-passing layers over a stack: relu(At1 @ relu(At0 @ X @
+    W0) @ W1), without the outer relu for the attention tower (its
+    nonlinearity is the attention softmax). The first layer propagates X
+    before the weight product: (At0 @ X) @ W0 costs N*N*d per graph
+    instead of N*N*F0, and the two orders agree up to rounding."""
     p = params.values
-    at0 = propagation_matrix(g.adjacency, p[f"p_{kind}0"], p[f"q_{kind}0"])
-    at1 = propagation_matrix(g.adjacency, p[f"p_{kind}1"], p[f"q_{kind}1"])
-    h = relu(matmul(at0, matmul(g.features, p[f"w_{kind}0"])))
-    out = matmul(at1, matmul(h, p[f"w_{kind}1"]))
+    h = relu(matmul(propagate(adj, x, p[f"p_{kind}0"], p[f"q_{kind}0"]), p[f"w_{kind}0"]))
+    out = propagate(adj, matmul(h, p[f"w_{kind}1"]), p[f"p_{kind}1"], p[f"q_{kind}1"])
     return relu(out) if kind == "x" else out
+
+
+def _check_width(x: Mat, params: PiNetParams):
+    if x.cols != params.config.d:
+        raise ShapeError(f"graph feature width {x.cols} != model d {params.config.d}")
+
+
+def _live_mask(mask: np.ndarray) -> np.ndarray:
+    return np.ones_like(mask) if _UNSAFE_NO_MASK else mask
+
+
+def _probs(adj: np.ndarray, x: Mat, mask: np.ndarray, params: PiNetParams) -> Mat:
+    """B x C class probabilities for a stack, one row per graph."""
+    _check_width(x, params)
+    z_x = _tower_stack(adj, x, params, "x")
+    pre = _tower_stack(adj, x, params, "a")
+    pooled = attention_pool(pre, z_x, _live_mask(mask), params.config.attention_axis)
+    return softmax_masked(matmul(pooled, params.values["w_d"]), axis="rows")
 
 
 def forward_features(g: LabeledGraph, params: PiNetParams, mask=None) -> Mat:
@@ -155,53 +195,52 @@ def forward_features(g: LabeledGraph, params: PiNetParams, mask=None) -> Mat:
     propagation matrix gives them no cross-node entries. `mask` is
     accepted for signature symmetry with the attention tower.
     """
-    if g.d != params.config.d:
-        raise ShapeError(f"graph feature width {g.d} != model d {params.config.d}")
-    return _tower(g, params, "x")
+    adj, x, _ = _stack([g])
+    _check_width(x, params)
+    return _tower_stack(adj, x, params, "x")
 
 
 def forward_attention(g: LabeledGraph, params: PiNetParams, mask=None) -> Mat:
-    """F1 x N attention weights from the attention tower.
+    """F1 x N attention weights from the attention tower (not tracked).
 
     With attention_axis="nodes", each row is softmax-normalised over the
     real (unmasked) nodes; with "features", each node's column is
     normalised over the F1 feature positions and padded columns are then
     zeroed. Either way padded-node columns are exactly 0.
     """
-    if g.d != params.config.d:
-        raise ShapeError(f"graph feature width {g.d} != model d {params.config.d}")
-    mask = g.node_mask if mask is None else np.asarray(mask, dtype=bool)
-    pre = transpose(_tower(g, params, "a"))  # F1 x N
-    if _UNSAFE_NO_MASK:
-        mask = None
-    if params.config.attention_axis == "nodes":
-        return softmax_masked(pre, axis="rows", mask=mask)
-    soft = softmax_masked(pre, axis="cols", mask=None)
-    if mask is None:
-        return soft
-    return col_scale(soft, Mat(mask.astype(float).reshape(1, -1)))
+    adj, x, m = _stack([g], None if mask is None else [mask])
+    _check_width(x, params)
+    pre = _tower_stack(adj, x, params, "a").data
+    att = attention_softmax(pre.reshape(1, g.n, -1), _live_mask(m), params.config.attention_axis)
+    return Mat(att[0].T)
 
 
 def forward(g: LabeledGraph, params: PiNetParams, mask=None) -> Mat:
     """Class probability row (1 x C) for one graph."""
-    z_x = forward_features(g, params, mask)
-    z_a = forward_attention(g, params, mask)
-    pooled = matmul(z_a, z_x)  # F1 x F1, padded nodes contribute nothing
-    logits = matmul(reshape_rowmajor(pooled), params.values["w_d"])
-    return softmax_masked(logits, axis="rows")
+    return _probs(*_stack([g], None if mask is None else [mask]), params)
 
 
 def loss_batch(batch: Batch, params: PiNetParams) -> Mat:
-    """Cross-entropy summed over the batch (1x1)."""
+    """Cross-entropy summed over the batch (1x1), from one forward pass
+    over the whole batch."""
     if len(batch) == 0:
         raise DomainError("loss_batch needs a non-empty batch")
-    preds = [forward(g, params, m) for g, m in zip(batch.graphs, batch.masks)]
-    return cross_entropy(vstack(preds), batch.labels)
+    probs = _probs(*_stack(batch.graphs, batch.masks), params)
+    return cross_entropy(probs, batch.labels)
+
+
+def predict_classes(params: PiNetParams, graphs) -> np.ndarray:
+    """Argmax class per graph of a list sharing N and d, from one forward
+    pass; ties break toward the lowest index."""
+    graphs = list(graphs)
+    if not graphs:
+        raise DomainError("predict_classes needs at least one graph")
+    return np.argmax(_probs(*_stack(graphs), params).data, axis=1)
 
 
 def predict_class(params: PiNetParams, g: LabeledGraph) -> int:
     """Argmax class; ties break toward the lowest index."""
-    return int(np.argmax(forward(g, params).data[0]))
+    return int(predict_classes(params, [g])[0])
 
 
 def clamp_pq(params: PiNetParams) -> PiNetParams:

@@ -21,7 +21,7 @@ from .graph import (
     random_permutation,
 )
 from .model import PQ_NAMES, PiNetConfig, forward, init_params, loss_batch
-from .tensor import Mat, grad_check
+from .tensor import Mat, Tape, backward, grad_check, hadamard, propagate, sum_all
 
 
 @dataclass
@@ -140,6 +140,66 @@ def check_corners(cases: int = 50, seed: int = 0, tol: float = 1e-12) -> SuiteRe
     return res
 
 
+def _probe_grads(fn, h, p, q, g) -> dict[str, np.ndarray]:
+    """Gradients of sum(g * fn(H, p, q)) with respect to H, p and q."""
+    tape = Tape()
+    out = fn(tape.leaf(Mat(h), "h"), tape.leaf(Mat.scalar(p), "p"), tape.leaf(Mat.scalar(q), "q"))
+    grads = backward(tape, sum_all(hadamard(out, Mat(g))))
+    return {k: grads[k].data if k in grads else np.zeros((1, 1)) for k in ("h", "p", "q")}
+
+
+def check_fused_layer(cases: int = 60, seed: int = 0, tol: float = 1e-12) -> SuiteResult:
+    """`propagate` on a stack of graphs equals the reference
+    propagation_matrix(A, p, q) @ H per graph, in value and in its
+    gradients for H, p and q. Stacks mix real node counts, carry padded
+    and isolated nodes, and cover the four (p, q) corners and interior
+    points. Errors are relative to max(1, |reference|)."""
+    rng = np.random.default_rng(seed)
+    res = SuiteResult("fused-propagation", cases, tol)
+    corners = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+    for i in range(cases):
+        b = int(rng.integers(1, 6))
+        f = int(rng.integers(1, 5))
+        sizes = rng.integers(1, 10, size=b)
+        n = int(sizes.max() + rng.integers(0, 4))
+        adj = np.zeros((b, n, n))
+        for k, n_real in enumerate(sizes):
+            a = _random_adjacency(rng, int(n_real))
+            if n_real > 1 and rng.random() < 0.5:  # isolate one real node
+                v = int(rng.integers(0, n_real))
+                a[v, :] = a[:, v] = 0.0
+            adj[k, :n_real, :n_real] = a
+        h = np.zeros((b * n, f))
+        for k, n_real in enumerate(sizes):
+            h[k * n:k * n + n_real] = rng.normal(size=(n_real, f))
+        g = rng.normal(size=(b * n, f))
+        pv, qv = corners[i] if i < len(corners) else rng.uniform(0.0, 1.0, size=2)
+        if i >= len(corners) and i % 3 == 0:
+            pv = 0.0  # p = 0 leaves isolated nodes with no scale at all
+        pv, qv = float(pv), float(qv)
+
+        got = _probe_grads(lambda hh, pp, qq: propagate(adj, hh, pp, qq), h, pv, qv, g)
+        got["out"] = propagate(adj, Mat(h), pv, qv).data
+        parts = []
+        for k in range(b):
+            rows = slice(k * n, (k + 1) * n)
+            at = propagation_matrix(Mat(adj[k]), pv, qv)
+            one = _probe_grads(lambda hh, pp, qq: propagation_matrix(Mat(adj[k]), pp, qq) @ hh,
+                               h[rows], pv, qv, g[rows])
+            parts.append(dict(one, out=at.data @ h[rows]))
+        want = {k: np.concatenate([one[k] for one in parts]) for k in ("out", "h")}
+        want.update({k: sum(one[k] for one in parts) for k in ("p", "q")})
+        err = float(max(
+            (np.abs(got[k] - want[k]) / np.maximum(1.0, np.abs(want[k]))).max() for k in want
+        ))
+        res.max_err = max(res.max_err, err)
+        if err > tol:
+            res.failures.append(
+                f"case {i}: B={b} N={n} sizes={sizes.tolist()} p={pv:.3f} q={qv:.3f} err={err:.3e}"
+            )
+    return res
+
+
 def check_invariance(cases: int = 100, seed: int = 0, tol: float = 1e-9) -> SuiteResult:
     """Relabelling a graph's nodes must not move the classifier output."""
     rng = np.random.default_rng(seed)
@@ -228,6 +288,7 @@ def run_all(seed: int = 0, quick: bool = False) -> list[SuiteResult]:
         check_inner_product_reorder(n(100), seed),
         check_equivariance(n(100), seed + 1),
         check_corners(n(50), seed + 2),
+        check_fused_layer(n(60), seed + 6),
         check_invariance(n(100), seed + 3),
         check_padding(n(50), seed + 4),
         check_gradients(n(10), seed + 5),

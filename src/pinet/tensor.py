@@ -7,6 +7,15 @@ produce gradients for the registered leaf parameters.
 
 A tape is built per forward pass (define-by-run). `Mat` values are
 immutable and safe to share across threads; a `Tape` is single-threaded.
+
+Matrices stay 2-D. A batch of B graphs padded to N nodes travels as one
+(B*N) x F stack of node states, graph b in rows b*N..(b+1)*N-1, next to
+a plain B x N x N adjacency array and a B x N node mask. Two fused ops
+work on such stacks with hand-written gradients: `propagate` applies
+the At(p, q) operator of every graph without materialising it, and
+`attention_pool` turns the attention-tower stack into per-graph pooled
+rows. At(p, q) itself is built only by `graph.propagation_matrix`, the
+reference those ops are checked against.
 """
 
 from __future__ import annotations
@@ -308,17 +317,6 @@ def rsqrt_or_zero(a: Mat) -> Mat:
     return _result(out, (a,), vjp)
 
 
-def reshape_rowmajor(a: Mat) -> Mat:
-    """Flatten to a single row in row-major order."""
-    a = as_mat(a)
-    shape = a.shape
-
-    def vjp(g):
-        return (g.reshape(shape),)
-
-    return _result(a.data.reshape(1, -1), (a,), vjp)
-
-
 def sum_all(a: Mat) -> Mat:
     """Sum of all entries as a 1x1 matrix."""
     a = as_mat(a)
@@ -328,23 +326,6 @@ def sum_all(a: Mat) -> Mat:
         return (np.full(shape, g[0, 0]),)
 
     return _result(np.array([[a.data.sum()]]), (a,), vjp)
-
-
-def vstack(mats: Sequence[Mat]) -> Mat:
-    """Stack matrices with equal column counts into one tall matrix."""
-    mats = [as_mat(m) for m in mats]
-    if not mats:
-        raise DomainError("vstack needs at least one matrix")
-    cols = mats[0].cols
-    for m in mats:
-        if m.cols != cols:
-            raise ShapeError(f"vstack: column counts differ ({m.cols} vs {cols})")
-    offsets = np.cumsum([0] + [m.rows for m in mats])
-
-    def vjp(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(mats)))
-
-    return _result(np.vstack([m.data for m in mats]), mats, vjp)
 
 
 def _as_mask(mask, n: int) -> np.ndarray:
@@ -383,6 +364,134 @@ def softmax_masked(a: Mat, axis: str = "rows", mask=None) -> Mat:
         return (gin if axis == "rows" else gin.T,)
 
     return _result(y if axis == "rows" else y.T, (a,), vjp)
+
+
+def _pq_scalar(v, name: str) -> Mat:
+    if isinstance(v, (int, float)) and not 0.0 <= v <= 1.0:
+        raise DomainError(f"{name}={v} outside [0, 1]")
+    m = as_mat(v)
+    if m.shape != (1, 1):
+        raise ShapeError(f"{name} must be a scalar or 1x1, got {m.rows}x{m.cols}")
+    return m
+
+
+def propagate(adj, h: Mat, p, q) -> Mat:
+    """At(p, q) @ H for every graph of a stack, without building At.
+
+    `adj` is a B x N x N array of symmetric adjacency matrices and `h`
+    the (B*N) x F stack of node states, graph b in rows b*N..(b+1)*N-1.
+    Each block is computed in the factored form s * ((A + qI)(s * H))
+    with s = (p + (1-p)*deg)^(-1/2) per node and 0^(-1/2) := 0, the
+    operator that `graph.propagation_matrix` builds explicitly. p and q
+    are floats in [0, 1] or 1x1 matrices, possibly tracked; the result is
+    differentiable with respect to h, p and q.
+    """
+    adj = np.asarray(adj, dtype=np.float64)
+    h = as_mat(h)
+    if adj.ndim != 3 or adj.shape[1] != adj.shape[2]:
+        raise ShapeError(f"propagate: adjacency stack must be B x N x N, got {adj.shape}")
+    b, n, _ = adj.shape
+    if h.rows != b * n:
+        raise ShapeError(f"propagate: {h.rows} state rows for {b} graphs of {n} nodes")
+    # the vjp applies the same operator to the gradient, which needs A = A^T
+    if (adj != adj.transpose(0, 2, 1)).any():
+        raise DomainError("adjacency must be symmetric")
+    pm, qm = _pq_scalar(p, "p"), _pq_scalar(q, "q")
+    pv, qv = pm.data[0, 0], qm.data[0, 0]
+    deg = adj.sum(axis=2).reshape(-1, 1)
+    mixed = pv + (1.0 - pv) * deg
+    if (mixed < 0).any():
+        raise DomainError("propagate: p + (1-p)*deg must be non-negative")
+    s = np.zeros_like(mixed)
+    np.power(mixed, -0.5, out=s, where=mixed > 0)
+
+    hd, f = h.data, h.cols
+    want_pq = pm.is_tracked or qm.is_tracked
+    u = hd * s
+    out = np.matmul(adj, u.reshape(b, n, f)).reshape(b * n, f)
+    u *= qv
+    out += u
+    out *= s
+
+    def vjp(g):
+        w = g * s
+        gh = np.matmul(adj, w.reshape(b, n, f)).reshape(b * n, f)
+        w *= qv
+        gh += w
+        gh *= s
+        if not want_pq:
+            return gh, None, None
+        # With s = m^(-1/2), ds/dm = -s^3/2 and dm/dp = 1 - deg; the sum
+        # over each node's row of s_i * dL/ds_i splits into the outer
+        # factor (g . out) and the inner one (gh . H).
+        s2 = s[:, 0] ** 2
+        s_ds = np.einsum("ij,ij->i", g, out) + np.einsum("ij,ij->i", gh, hd)
+        gp = -0.5 * (s2 * (1.0 - deg[:, 0])) @ s_ds
+        gq = s2 @ np.einsum("ij,ij->i", g, hd)
+        return gh, np.array([[gp]]), np.array([[gq]])
+
+    return _result(out, (h, pm, qm), vjp)
+
+
+def attention_softmax(pre: np.ndarray, mask: np.ndarray, axis: str) -> np.ndarray:
+    """Attention weights for a B x N x F stack of tower outputs.
+
+    axis="nodes": each (graph, feature) column becomes a distribution over
+    the graph's real nodes (mask True); axis="features": each node's row
+    becomes a distribution over the F positions and padded rows are then
+    zeroed. Padded nodes get exactly 0 either way. Returns a new array.
+    """
+    m = mask[:, :, None]
+    if axis == "nodes":
+        if not mask.any(axis=1).all():
+            raise DegenerateMaskError("softmax slice has every position masked")
+        e = np.where(m, pre, -np.inf)
+        e -= e.max(axis=1, keepdims=True)
+        np.exp(e, out=e)
+        e /= e.sum(axis=1, keepdims=True)
+    elif axis == "features":
+        e = pre - pre.max(axis=2, keepdims=True)
+        np.exp(e, out=e)
+        e /= e.sum(axis=2, keepdims=True)
+        e *= m
+    else:
+        raise DomainError(f"attention axis must be 'nodes' or 'features', got {axis!r}")
+    return e
+
+
+def attention_pool(pre: Mat, z: Mat, mask, axis: str) -> Mat:
+    """Per-graph softmax(pre)^T @ z over a stack, one graph per output row.
+
+    `pre` is the (B*N) x F attention-tower stack, `z` the (B*N) x F'
+    features-tower stack and `mask` the B x N real-node mask. The weights
+    are `attention_softmax(pre, mask, axis)`; row b of the B x (F*F')
+    result is graph b's F x F' pooled matrix in row-major order.
+    """
+    pre, z = as_mat(pre), as_mat(z)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2:
+        raise ShapeError(f"attention_pool: mask must be B x N, got shape {mask.shape}")
+    b, n = mask.shape
+    if pre.rows != b * n or z.rows != b * n:
+        raise ShapeError(
+            f"attention_pool: {pre.rows} and {z.rows} rows for {b} graphs of {n} nodes"
+        )
+    f, fz = pre.cols, z.cols
+    att = attention_softmax(pre.data.reshape(b, n, f), mask, axis)
+    z3 = z.data.reshape(b, n, fz)
+    pooled = np.matmul(att.transpose(0, 2, 1), z3)
+    red, dots = (1, "bnf,bnf->bf") if axis == "nodes" else (2, "bnf,bnf->bn")
+    want_z = z.is_tracked
+
+    def vjp(g):
+        g3 = g.reshape(b, f, fz)
+        gz = np.matmul(att, g3).reshape(b * n, fz) if want_z else None
+        ga = np.matmul(z3, g3.transpose(0, 2, 1))
+        ga -= np.expand_dims(np.einsum(dots, att, ga), red)
+        ga *= att
+        return ga.reshape(b * n, f), gz
+
+    return _result(pooled.reshape(b, f * fz), (pre, z), vjp)
 
 
 def cross_entropy(z: Mat, y: Mat) -> Mat:
@@ -436,6 +545,7 @@ def backward(tape: Tape, loss: Mat) -> dict[str, Mat]:
         node = tape._nodes[nid]
         if g is None or node.vjp is None:
             continue
+        grads[nid] = None  # consumed: only leaf gradients outlive the walk
         for pid, contrib in zip(node.parents, node.vjp(g)):
             if pid is None or contrib is None:
                 continue

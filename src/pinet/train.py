@@ -10,12 +10,17 @@ import numpy as np
 
 from .errors import DomainError, TrainingError
 from .graph import make_batch
-from .model import PiNetConfig, PiNetParams, clamp_pq, grads_batch, init_params, predict_class
+from .model import PiNetConfig, PiNetParams, clamp_pq, grads_batch, init_params, predict_classes
 from .tensor import Mat
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# Graphs scored per forward pass in `evaluate`: large enough that the
+# per-op overhead is shared, small enough that a chunk's B x N x N
+# adjacency stack stays a few MiB at N = 128.
+EVAL_CHUNK = 50
 
 
 @dataclass(frozen=True)
@@ -117,11 +122,22 @@ def fit(
 
 
 def evaluate(params: PiNetParams, graphs) -> float:
-    """Fraction of graphs whose argmax prediction matches the label."""
+    """Fraction of graphs whose argmax prediction matches the label.
+
+    Graphs are grouped by padded size N and scored EVAL_CHUNK at a time,
+    one forward pass per chunk; ties break toward the lowest class."""
     graphs = list(graphs)
     if not graphs:
         raise DomainError("evaluate needs a non-empty dataset")
-    hits = sum(predict_class(params, g) == g.label for g in graphs)
+    by_n: dict[int, list] = {}
+    for g in graphs:
+        by_n.setdefault(g.n, []).append(g)
+    hits = 0
+    for group in by_n.values():
+        for start in range(0, len(group), EVAL_CHUNK):
+            chunk = group[start:start + EVAL_CHUNK]
+            preds = predict_classes(params, chunk)
+            hits += sum(int(c) == g.label for c, g in zip(preds, chunk))
     return hits / len(graphs)
 
 
@@ -164,6 +180,17 @@ def _fit_eval_fold(graphs, test_idx, train_config, model_config, fold_seed):
     return evaluate(result.params, test)
 
 
+def _threads_from_env() -> int:
+    raw = os.environ.get("PINET_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise DomainError(f"PINET_THREADS must be an integer >= 1, got {raw!r}") from None
+    if workers < 1:
+        raise DomainError(f"PINET_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
+
+
 def cross_validate(
     graphs,
     k: int,
@@ -181,7 +208,7 @@ def cross_validate(
     folds = stratified_kfold([g.label for g in graphs], k, train_config.seed)
     fold_seeds = tuple(train_config.seed + f for f in range(k))
     if workers is None:
-        workers = int(os.environ.get("PINET_THREADS", "1"))
+        workers = _threads_from_env()
     jobs = [
         (graphs, folds[f], train_config, model_config, fold_seeds[f])
         for f in range(k)

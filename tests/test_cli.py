@@ -153,6 +153,17 @@ def test_cv_two_folds_on_toy_set(capsys, tmp_path):
     assert abs(csv_mean - printed) < 5e-5
 
 
+@pytest.mark.parametrize("value", ["x", "0", "-2", "1.5"])
+def test_cv_bad_pinet_threads_exits_one(capsys, tmp_path, monkeypatch, value):
+    data = _toy_dataset_file(tmp_path, copies=2)
+    monkeypatch.setenv("PINET_THREADS", value)
+    code, _, err = _run(capsys, [
+        "cv", "--data", str(data), "--k", "2", "--epochs", "1", "--f0", "3", "--f1", "2",
+    ])
+    assert code == 1
+    assert err.startswith("error:") and "PINET_THREADS" in err
+
+
 def test_cv_k_exceeding_dataset_exits_one(capsys, tmp_path):
     data = _toy_dataset_file(tmp_path, copies=1)  # 2 graphs
     code, _, err = _run(capsys, [

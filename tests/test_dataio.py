@@ -212,3 +212,19 @@ def test_load_rejects_edge_outside_range(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataFormatError):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("field", ["n_pad", "d", "name", "class_count", "label_map"])
+def test_load_names_missing_header_field(tmp_path, field):
+    import json
+
+    path = tmp_path / "nofield.jsonl"
+    save_dataset(_toy_dataset(), path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    del header[field]
+    lines[0] = json.dumps(header)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError) as err:
+        load_dataset(path)
+    assert repr(field) in str(err.value) and str(path) in str(err.value)

@@ -253,6 +253,19 @@ def test_loss_batch_additive():
     assert math.isclose(total, singles, abs_tol=1e-10)
 
 
+def test_loss_batch_equals_per_graph_log_probs():
+    # one stacked pass over graphs of different real sizes, padded to a
+    # shared N, against one forward per graph
+    rng = np.random.default_rng(13)
+    for axis in ("nodes", "features"):
+        graphs = [pad_graph(_random_graph(rng, n, d=2, label=n % 3), 9) for n in (3, 9, 5, 7)]
+        params = init_params(_small_config(d=2, C=3, attention_axis=axis, seed=4))
+        params = params.replaced({k: Mat.scalar(rng.uniform()) for k in PQ_NAMES})
+        total = loss_batch(make_batch(graphs, 3), params).item()
+        singles = sum(-math.log(forward(g, params).data[0, g.label]) for g in graphs)
+        assert math.isclose(total, singles, rel_tol=1e-12, abs_tol=1e-12)
+
+
 def test_loss_uniform_prediction_value():
     g = _random_graph(np.random.default_rng(10), 4, label=1)
     params = init_params(_small_config(C=2))

@@ -15,21 +15,21 @@ from pinet.tensor import (
     Mat,
     Tape,
     add,
+    attention_pool,
     backward,
     col_scale,
     cross_entropy,
     grad_check,
     hadamard,
     matmul,
+    propagate,
     relu,
-    reshape_rowmajor,
     row_scale,
     rsqrt_or_zero,
     scale,
     softmax_masked,
     sum_all,
     transpose,
-    vstack,
 )
 
 
@@ -149,17 +149,8 @@ def test_rsqrt_or_zero():
         rsqrt_or_zero(Mat([[-1.0]]))
 
 
-def test_reshape_rowmajor():
-    _close(reshape_rowmajor(Mat([[1.0, 2.0], [3.0, 4.0]])), [[1, 2, 3, 4]])
-    row = Mat([[5.0, 6.0, 7.0]])
-    _close(reshape_rowmajor(row), row.data)
-    _close(reshape_rowmajor(Mat.zeros(3, 2)), np.zeros((1, 6)))
-
-
-def test_sum_all_and_vstack():
+def test_sum_all():
     assert sum_all(Mat([[1.0, 2.0], [3.0, 4.0]])).item() == 10.0
-    v = vstack([Mat([[1.0, 2.0]]), Mat([[3.0, 4.0]])])
-    _close(v, [[1, 2], [3, 4]])
 
 
 # -- masked softmax -----------------------------------------------------------
@@ -210,6 +201,52 @@ def test_softmax_extreme_values_stay_finite():
     out = softmax_masked(Mat([[1000.0, -1000.0, 0.0]]), axis="rows")
     assert np.isfinite(out.data).all()
     np.testing.assert_allclose(out.data.sum(), 1.0, atol=1e-12)
+
+
+# -- stacked message passing and attention pooling -----------------------------
+
+def test_propagate_rejects_bad_stacks():
+    adj = np.zeros((2, 3, 3))
+    adj[0, 0, 1] = adj[0, 1, 0] = 1.0
+    h = Mat.ones(6, 2)
+    with pytest.raises(ShapeError):
+        propagate(adj[0], h, 0.5, 0.5)  # not a B x N x N stack
+    with pytest.raises(ShapeError):
+        propagate(adj, Mat.ones(5, 2), 0.5, 0.5)
+    with pytest.raises(DomainError):
+        propagate(adj, h, 1.5, 0.5)
+    lopsided = adj.copy()
+    lopsided[1, 2, 0] = 1.0
+    with pytest.raises(DomainError):
+        propagate(lopsided, h, 0.5, 0.5)
+
+
+def test_attention_pool_zero_weight_on_padding():
+    rng = np.random.default_rng(8)
+    mask = np.array([[True, True, False], [True, True, True]])
+    pre = Mat(rng.normal(size=(6, 2)))
+    z = np.zeros((6, 3))
+    z[2] = 1e6  # a padded node's state must not reach the pooled rows
+    for axis in ("nodes", "features"):
+        out = attention_pool(pre, Mat(z), mask, axis)
+        assert out.shape == (2, 6)
+        np.testing.assert_array_equal(out.data[0], np.zeros(6))
+    with pytest.raises(DegenerateMaskError):
+        attention_pool(pre, Mat(z), np.array([[False] * 3, [True] * 3]), "nodes")
+
+
+def test_grad_check_attention_pool():
+    rng = np.random.default_rng(9)
+    mask = np.array([[True, False, True, True], [True, True, False, False]])
+    y = Mat(rng.normal(size=(2, 6)))
+    for axis in ("nodes", "features"):
+        params = {"pre": Mat(rng.normal(size=(8, 2))), "z": Mat(rng.normal(size=(8, 3)))}
+
+        def f(p):
+            return sum_all(hadamard(attention_pool(p["pre"], p["z"], mask, axis), y))
+
+        report = grad_check(f, params, step=1e-5, tol=1e-6)
+        assert report.ok, report.failures[:3]
 
 
 # -- cross entropy ------------------------------------------------------------
@@ -354,14 +391,14 @@ def test_grad_check_softmax_cross_entropy():
 
 
 def test_grad_check_propagation_pieces():
-    # rsqrt, row/col scaling, and reshape all feed the propagation matrix
+    # rsqrt and row/col scaling all feed the propagation matrix
     rng = np.random.default_rng(7)
     a0 = Mat(rng.random((3, 3)) + 0.5)
     params = {"s": Mat(rng.random((3, 1)) + 1.0), "w": Mat(rng.normal(size=(3, 2)))}
 
     def f(p):
         scaled = col_scale(row_scale(a0, rsqrt_or_zero(p["s"])), transpose(p["s"]))
-        return sum_all(reshape_rowmajor(matmul(scaled, p["w"])))
+        return sum_all(matmul(scaled, p["w"]))
 
     report = grad_check(f, params, step=1e-5, tol=1e-4)
     assert report.ok, report.failures[:3]

@@ -163,6 +163,28 @@ def test_evaluate_untrained_balanced_near_chance():
     assert 0.4 <= acc <= 0.6
 
 
+def test_evaluate_mixed_sizes_matches_per_graph_predictions():
+    from pinet.graph import pad_graph
+    from pinet.model import predict_class
+
+    rng = np.random.default_rng(11)
+    graphs = []
+    for i in range(23):
+        n = int(rng.integers(3, 7))
+        while True:
+            a = np.triu((rng.random((n, n)) < 0.5).astype(float), 1)
+            if a.sum() > 0:
+                break
+        g = graph_from_edges(n, [(int(u), int(v)) for u, v in zip(*np.nonzero(a))], label=i % 3)
+        graphs.append(pad_graph(g, 6 if i % 2 else 8))  # two padded sizes, interleaved
+    params = init_params(PiNetConfig(d=1, C=3, F0=6, F1=4, seed=5))
+    per_graph = sum(predict_class(params, g) == g.label for g in graphs) / len(graphs)
+    assert evaluate(params, graphs) == per_graph
+    # all-zero readout: every class ties, so every prediction is class 0
+    flat = params.replaced({"w_d": Mat.zeros(16, 3)})
+    assert evaluate(flat, graphs) == sum(g.label == 0 for g in graphs) / len(graphs)
+
+
 def test_evaluate_permutation_stable():
     from pinet.graph import permute_graph, random_permutation
 
