@@ -144,13 +144,14 @@ def init_params(config: PiNetConfig) -> PiNetParams:
     return PiNetParams(values, config)
 
 
-def _stack(graphs, masks=None) -> tuple[np.ndarray, Mat, np.ndarray]:
+def _stack(graphs, params: PiNetParams, masks=None) -> tuple[np.ndarray, Mat, np.ndarray]:
     """B x N x N adjacency, (B*N) x d features and B x N mask of graphs
-    sharing N and d; graph b holds rows b*N..(b+1)*N-1 of the features."""
-    n, d = graphs[0].n, graphs[0].d
+    sharing N and the model's feature width d; graph b holds rows
+    b*N..(b+1)*N-1 of the features."""
+    n, d = graphs[0].n, params.config.d
     for i, g in enumerate(graphs):
         if g.n != n or g.d != d:
-            raise ShapeError(f"graph {i} has N={g.n}, d={g.d}; expected N={n}, d={d}")
+            raise ShapeError(f"graph {i} has N={g.n}, d={g.d}; expected N={n}, model d={d}")
     adj = np.stack([g.adjacency.data for g in graphs])
     x = Mat(np.concatenate([g.features.data for g in graphs]))
     if masks is None:
@@ -170,18 +171,12 @@ def _tower_stack(adj: np.ndarray, x: Mat, params: PiNetParams, kind: str) -> Mat
     return relu(out) if kind == "x" else out
 
 
-def _check_width(x: Mat, params: PiNetParams):
-    if x.cols != params.config.d:
-        raise ShapeError(f"graph feature width {x.cols} != model d {params.config.d}")
-
-
 def _live_mask(mask: np.ndarray) -> np.ndarray:
     return np.ones_like(mask) if _UNSAFE_NO_MASK else mask
 
 
 def _probs(adj: np.ndarray, x: Mat, mask: np.ndarray, params: PiNetParams) -> Mat:
     """B x C class probabilities for a stack, one row per graph."""
-    _check_width(x, params)
     z_x = _tower_stack(adj, x, params, "x")
     pre = _tower_stack(adj, x, params, "a")
     pooled = attention_pool(pre, z_x, _live_mask(mask), params.config.attention_axis)
@@ -195,8 +190,7 @@ def forward_features(g: LabeledGraph, params: PiNetParams, mask=None) -> Mat:
     propagation matrix gives them no cross-node entries. `mask` is
     accepted for signature symmetry with the attention tower.
     """
-    adj, x, _ = _stack([g])
-    _check_width(x, params)
+    adj, x, _ = _stack([g], params)
     return _tower_stack(adj, x, params, "x")
 
 
@@ -208,8 +202,7 @@ def forward_attention(g: LabeledGraph, params: PiNetParams, mask=None) -> Mat:
     normalised over the F1 feature positions and padded columns are then
     zeroed. Either way padded-node columns are exactly 0.
     """
-    adj, x, m = _stack([g], None if mask is None else [mask])
-    _check_width(x, params)
+    adj, x, m = _stack([g], params, None if mask is None else [mask])
     pre = _tower_stack(adj, x, params, "a").data
     att = attention_softmax(pre.reshape(1, g.n, -1), _live_mask(m), params.config.attention_axis)
     return Mat(att[0].T)
@@ -217,7 +210,7 @@ def forward_attention(g: LabeledGraph, params: PiNetParams, mask=None) -> Mat:
 
 def forward(g: LabeledGraph, params: PiNetParams, mask=None) -> Mat:
     """Class probability row (1 x C) for one graph."""
-    return _probs(*_stack([g], None if mask is None else [mask]), params)
+    return _probs(*_stack([g], params, None if mask is None else [mask]), params)
 
 
 def loss_batch(batch: Batch, params: PiNetParams) -> Mat:
@@ -225,7 +218,7 @@ def loss_batch(batch: Batch, params: PiNetParams) -> Mat:
     over the whole batch."""
     if len(batch) == 0:
         raise DomainError("loss_batch needs a non-empty batch")
-    probs = _probs(*_stack(batch.graphs, batch.masks), params)
+    probs = _probs(*_stack(batch.graphs, params, batch.masks), params)
     return cross_entropy(probs, batch.labels)
 
 
@@ -235,7 +228,7 @@ def predict_classes(params: PiNetParams, graphs) -> np.ndarray:
     graphs = list(graphs)
     if not graphs:
         raise DomainError("predict_classes needs at least one graph")
-    return np.argmax(_probs(*_stack(graphs), params).data, axis=1)
+    return np.argmax(_probs(*_stack(graphs, params), params).data, axis=1)
 
 
 def predict_class(params: PiNetParams, g: LabeledGraph) -> int:
