@@ -183,10 +183,9 @@ def check_fused_layer(cases: int = 60, seed: int = 0, tol: float = 1e-12) -> Sui
         parts = []
         for k in range(b):
             rows = slice(k * n, (k + 1) * n)
-            at = propagation_matrix(Mat(adj[k]), pv, qv)
             one = _probe_grads(lambda hh, pp, qq: propagation_matrix(Mat(adj[k]), pp, qq) @ hh,
                                h[rows], pv, qv, g[rows])
-            parts.append(dict(one, out=at.data @ h[rows]))
+            parts.append(dict(one, out=propagation_matrix(Mat(adj[k]), pv, qv).data @ h[rows]))
         want = {k: np.concatenate([one[k] for one in parts]) for k in ("out", "h")}
         want.update({k: sum(one[k] for one in parts) for k in ("p", "q")})
         err = float(max(

@@ -18,8 +18,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 # Graphs scored per forward pass in `evaluate`: large enough that the
-# per-op overhead is shared, small enough that a chunk's B x N x N
-# adjacency stack stays a few MiB at N = 128.
+# per-op overhead is shared, small enough that each of a chunk's arrays
+# stays a few MiB at N = 128.
 EVAL_CHUNK = 50
 
 
@@ -180,17 +180,6 @@ def _fit_eval_fold(graphs, test_idx, train_config, model_config, fold_seed):
     return evaluate(result.params, test)
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("PINET_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise DomainError(f"PINET_THREADS must be an integer >= 1, got {raw!r}") from None
-    if workers < 1:
-        raise DomainError(f"PINET_THREADS must be an integer >= 1, got {raw!r}")
-    return workers
-
-
 def cross_validate(
     graphs,
     k: int,
@@ -208,7 +197,10 @@ def cross_validate(
     folds = stratified_kfold([g.label for g in graphs], k, train_config.seed)
     fold_seeds = tuple(train_config.seed + f for f in range(k))
     if workers is None:
-        workers = _threads_from_env()
+        raw = os.environ.get("PINET_THREADS", "1")
+        if not raw.strip().isdecimal() or int(raw) < 1:
+            raise DomainError(f"PINET_THREADS must be an integer >= 1, got {raw!r}")
+        workers = int(raw)
     jobs = [
         (graphs, folds[f], train_config, model_config, fold_seeds[f])
         for f in range(k)
