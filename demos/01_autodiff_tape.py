@@ -9,7 +9,7 @@
 import numpy as np
 
 from pinet import Mat, Tape, backward, grad_check
-from pinet.tensor import matmul, relu, softmax_masked, cross_entropy
+from pinet.tensor import matmul, relu, softmax_rows, cross_entropy
 
 # 1. Leaves: a tape hands back tracked copies of the parameters.
 rng = np.random.default_rng(0)
@@ -24,7 +24,7 @@ tw1 = tape.leaf(w1, "w1")
 
 # 2. Forward: relu MLP into a softmax cross-entropy.
 hidden = relu(matmul(x, tw0))
-probs = softmax_masked(matmul(hidden, tw1), axis="rows")
+probs = softmax_rows(matmul(hidden, tw1))
 loss = cross_entropy(probs, target)
 print(f"loss = {loss.item():.6f}")
 
@@ -38,7 +38,7 @@ for name, g in sorted(grads.items()):
 #    independent of each other.
 def closure(params):
     h = relu(matmul(x, params["w0"]))
-    p = softmax_masked(matmul(h, params["w1"]), axis="rows")
+    p = softmax_rows(matmul(h, params["w1"]))
     return cross_entropy(p, target)
 
 report = grad_check(closure, {"w0": w0, "w1": w1}, step=1e-6, tol=1e-7)

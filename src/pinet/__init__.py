@@ -34,7 +34,6 @@ from .graph import (
     Batch,
     LabeledGraph,
     Permutation,
-    degree_matrix,
     graph_from_edges,
     make_batch,
     pad_graph,

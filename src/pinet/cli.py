@@ -282,12 +282,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_selfcheck(args) -> int:
     _echo_config(args)
-    if args.unsafe_no_mask:
-        model._set_unsafe_no_mask(True)
-    try:
-        results = selfcheck.run_all(seed=args.seed, quick=args.quick)
-    finally:
-        model._set_unsafe_no_mask(False)
+    results = selfcheck.run_all(seed=args.seed, quick=args.quick)
     for r in results:
         print(r.one_line())
         for failure in r.failures[:5]:
@@ -347,7 +342,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("selfcheck", help="run the randomized consistency suites")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quick", action="store_true", help="smaller case counts")
-    p.add_argument("--unsafe-no-mask", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_selfcheck)
 
     return parser

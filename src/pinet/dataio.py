@@ -212,7 +212,26 @@ def load_tu(dir_path, dataset_name: str) -> Dataset:
 
 
 DATASET_FORMAT = "pinet-dataset-v1"
-_HEADER_FIELDS = ("name", "n_pad", "d", "class_count", "label_map")
+
+
+def _is_int(v, low: int | None = None) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and (low is None or v >= low)
+
+
+# header field -> (what it must hold, test of its value)
+_HEADER_FIELDS = {
+    "name": ("a string", lambda v: isinstance(v, str)),
+    "n_pad": ("an integer >= 0", lambda v: _is_int(v, 0)),
+    "d": ("an integer >= 0", lambda v: _is_int(v, 0)),
+    "class_count": ("an integer >= 1", lambda v: _is_int(v, 1)),
+    "label_map": (
+        "a list of [raw label, class] integer pairs",
+        lambda v: isinstance(v, list) and all(
+            isinstance(e, list) and len(e) == 2 and _is_int(e[0]) and _is_int(e[1], 0)
+            for e in v
+        ),
+    ),
+}
 
 
 def _canonical_mask(g: LabeledGraph) -> bool:
@@ -249,6 +268,9 @@ def save_dataset(ds: Dataset, path):
 
 
 def load_dataset(path) -> Dataset:
+    """Read a file written by `save_dataset`. Anything malformed, from
+    the header to a single edge, raises DataFormatError naming the path
+    and, where one is to blame, the line."""
     lines = _read_lines(path)
     if not lines or not lines[0].strip():
         raise DataFormatError("empty dataset file", path=str(path))
@@ -256,52 +278,86 @@ def load_dataset(path) -> Dataset:
     def parse(text, line_no):
         try:
             return json.loads(text)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             raise DataFormatError("malformed record", path=str(path), line=line_no) from None
 
     header = parse(lines[0], 1)
+    if not isinstance(header, dict):
+        raise DataFormatError("header is not a JSON object", path=str(path), line=1)
     if header.get("format") != DATASET_FORMAT:
         raise DataFormatError(
             f"unsupported dataset format {header.get('format')!r}", path=str(path)
         )
-    missing = [k for k in _HEADER_FIELDS if k not in header]
-    if missing:
-        raise DataFormatError(f"header lacks field {missing[0]!r}", path=str(path), line=1)
+    for name, (kind, valid) in _HEADER_FIELDS.items():
+        if name not in header:
+            raise DataFormatError(f"header lacks field {name!r}", path=str(path), line=1)
+        if not valid(header[name]):
+            raise DataFormatError(
+                f"header field {name!r} must be {kind}", path=str(path), line=1
+            )
     n_pad, d = header["n_pad"], header["d"]
-    graphs = []
+    # Every record is checked before any n_pad-sized array is allocated,
+    # so no count in the file can ask for more memory than its data
+    # implies: n_real must match the feature rows, and n_pad the largest
+    # n_real.
+    records = []
     for i, text in enumerate(lines[1:], start=2):
         if not text.strip():
             continue
         rec = parse(text, i)
         try:
-            n_real, label = rec["n_real"], rec["label"]
-            a = np.zeros((n_pad, n_pad))
-            for u, v in rec["edges"]:
-                if not (0 <= u < n_real and 0 <= v < n_real) or u == v:
-                    raise DataFormatError(
-                        f"invalid edge ({u},{v}) for n_real={n_real}",
-                        path=str(path), line=i,
-                    )
-                a[u, v] = a[v, u] = 1.0
-            x = np.zeros((n_pad, d))
-            rows = rec["features"]
-            if len(rows) != n_real:
+            n_real, label, rows = rec["n_real"], rec["label"], rec["features"]
+            if not (_is_int(n_real, 0) and _is_int(label, 0)):
                 raise DataFormatError(
-                    f"{len(rows)} feature rows for n_real={n_real}",
+                    "n_real and label must be integers >= 0", path=str(path), line=i
+                )
+            x = np.array(rows, dtype=np.float64)
+            if len(rows) != n_real or not np.isfinite(x).all():
+                raise DataFormatError(
+                    f"features must be {n_real} rows of finite values", path=str(path), line=i
+                )
+            x = x.reshape(n_real, d)
+            edges = np.asarray(rec["edges"])
+            if not edges.size:
+                edges = np.zeros((0, 2), dtype=np.int64)
+            if edges.dtype.kind != "i" or edges.ndim != 2 or edges.shape[1] != 2:
+                raise DataFormatError(
+                    "edges must be a list of [u, v] integer pairs", path=str(path), line=i
+                )
+            u, v = edges.T
+            bad = (u < 0) | (v < 0) | (u >= n_real) | (v >= n_real) | (u == v)
+            if bad.any():
+                k = int(bad.argmax())
+                raise DataFormatError(
+                    f"invalid edge ({u[k]},{v[k]}) for n_real={n_real}",
                     path=str(path), line=i,
                 )
-            for r, row in enumerate(rows):
-                x[r, :] = row
-            graphs.append(LabeledGraph(n_real, Mat(a), Mat(x), label))
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             if isinstance(e, DataFormatError):
                 raise
             raise DataFormatError(
                 f"malformed graph record ({e})", path=str(path), line=i
             ) from None
-    return Dataset(
-        name=header["name"],
-        graphs=tuple(graphs),
-        class_count=header["class_count"],
-        label_map={k: v for k, v in header["label_map"]},
-    )
+        records.append((n_real, label, u, v, x))
+    largest = max((r[0] for r in records), default=n_pad)
+    if largest != n_pad:
+        raise DataFormatError(
+            f"header field 'n_pad' must equal the largest n_real, {largest}",
+            path=str(path), line=1,
+        )
+    graphs = []
+    for n_real, label, u, v, x in records:
+        a = np.zeros((n_pad, n_pad))
+        a[u, v] = a[v, u] = 1.0
+        xp = np.zeros((n_pad, d))
+        xp[:n_real] = x
+        graphs.append(LabeledGraph(n_real, Mat(a), Mat(xp), label))
+    try:
+        return Dataset(
+            name=header["name"],
+            graphs=tuple(graphs),
+            class_count=header["class_count"],
+            label_map={k: v for k, v in header["label_map"]},
+        )
+    except DomainError as e:  # a label outside the header's class count
+        raise DataFormatError(str(e), path=str(path)) from None

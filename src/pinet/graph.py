@@ -199,10 +199,9 @@ def pad_graph(g: LabeledGraph, n_target: int) -> LabeledGraph:
 
 @dataclass(frozen=True, eq=False)
 class Batch:
-    """Graphs sharing N and d, with per-graph masks and one-hot labels."""
+    """Graphs sharing N and d, with one-hot labels."""
 
     graphs: tuple[LabeledGraph, ...]
-    masks: tuple[np.ndarray, ...]
     labels: Mat  # B x C one-hot
 
     def __len__(self) -> int:
@@ -223,15 +222,7 @@ def make_batch(graphs, class_count: int) -> Batch:
         if g.label >= class_count:
             raise DomainError(f"graph {i} label {g.label} >= class count {class_count}")
         onehot[i, g.label] = 1.0
-    return Batch(graphs, tuple(g.node_mask for g in graphs), Mat(onehot))
-
-
-def degree_matrix(a: Mat) -> Mat:
-    """Diagonal matrix of adjacency row sums."""
-    a = as_mat(a)
-    if a.rows != a.cols:
-        raise ShapeError(f"degree_matrix needs a square matrix, got {a.rows}x{a.cols}")
-    return Mat(np.diag(a.data.sum(axis=1)))
+    return Batch(graphs, Mat(onehot))
 
 
 def propagation_matrix(a: Mat, p, q) -> Mat:

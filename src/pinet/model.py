@@ -36,22 +36,11 @@ from .tensor import (
     matmul,
     propagate,
     relu,
-    softmax_masked,
+    softmax_rows,
 )
 
 WEIGHT_NAMES = ("w_x0", "w_x1", "w_a0", "w_a1", "w_d")
 PQ_NAMES = ("p_x0", "q_x0", "p_x1", "q_x1", "p_a0", "q_a0", "p_a1", "q_a1")
-
-# Debug hook: when True, the attention softmax ignores node masks, so
-# padded nodes receive probability mass. Exists only so the consistency
-# checker can demonstrate that the padding-invariance suite catches it.
-_UNSAFE_NO_MASK = False
-
-
-def _set_unsafe_no_mask(value: bool):
-    global _UNSAFE_NO_MASK
-    _UNSAFE_NO_MASK = bool(value)
-
 
 @dataclass(frozen=True)
 class PiNetConfig:
@@ -144,7 +133,7 @@ def init_params(config: PiNetConfig) -> PiNetParams:
     return PiNetParams(values, config)
 
 
-def _stack(graphs, params: PiNetParams, masks=None) -> tuple[np.ndarray, Mat, np.ndarray]:
+def _stack(graphs, params: PiNetParams) -> tuple[np.ndarray, Mat, np.ndarray]:
     """B x N x N adjacency, (B*N) x d features and B x N mask of graphs
     sharing N and the model's feature width d; graph b holds rows
     b*N..(b+1)*N-1 of the features."""
@@ -154,9 +143,7 @@ def _stack(graphs, params: PiNetParams, masks=None) -> tuple[np.ndarray, Mat, np
             raise ShapeError(f"graph {i} has N={g.n}, d={g.d}; expected N={n}, model d={d}")
     adj = np.stack([g.adjacency.data for g in graphs])
     x = Mat(np.concatenate([g.features.data for g in graphs]))
-    if masks is None:
-        masks = [g.node_mask for g in graphs]
-    return adj, x, np.stack([np.asarray(m, dtype=bool).reshape(-1) for m in masks])
+    return adj, x, np.stack([g.node_mask for g in graphs])
 
 
 def _tower_stack(adj: np.ndarray, x: Mat, params: PiNetParams, kind: str) -> Mat:
@@ -171,30 +158,25 @@ def _tower_stack(adj: np.ndarray, x: Mat, params: PiNetParams, kind: str) -> Mat
     return relu(out) if kind == "x" else out
 
 
-def _live_mask(mask: np.ndarray) -> np.ndarray:
-    return np.ones_like(mask) if _UNSAFE_NO_MASK else mask
-
-
 def _probs(adj: np.ndarray, x: Mat, mask: np.ndarray, params: PiNetParams) -> Mat:
     """B x C class probabilities for a stack, one row per graph."""
     z_x = _tower_stack(adj, x, params, "x")
     pre = _tower_stack(adj, x, params, "a")
-    pooled = attention_pool(pre, z_x, _live_mask(mask), params.config.attention_axis)
-    return softmax_masked(matmul(pooled, params.values["w_d"]), axis="rows")
+    pooled = attention_pool(pre, z_x, mask, params.config.attention_axis)
+    return softmax_rows(matmul(pooled, params.values["w_d"]))
 
 
-def forward_features(g: LabeledGraph, params: PiNetParams, mask=None) -> Mat:
+def forward_features(g: LabeledGraph, params: PiNetParams) -> Mat:
     """N x F1 node features after the features tower.
 
     Padded-node rows are zero: their input features are zero and the
-    propagation matrix gives them no cross-node entries. `mask` is
-    accepted for signature symmetry with the attention tower.
+    propagation matrix gives them no cross-node entries.
     """
     adj, x, _ = _stack([g], params)
     return _tower_stack(adj, x, params, "x")
 
 
-def forward_attention(g: LabeledGraph, params: PiNetParams, mask=None) -> Mat:
+def forward_attention(g: LabeledGraph, params: PiNetParams) -> Mat:
     """F1 x N attention weights from the attention tower (not tracked).
 
     With attention_axis="nodes", each row is softmax-normalised over the
@@ -202,15 +184,15 @@ def forward_attention(g: LabeledGraph, params: PiNetParams, mask=None) -> Mat:
     normalised over the F1 feature positions and padded columns are then
     zeroed. Either way padded-node columns are exactly 0.
     """
-    adj, x, m = _stack([g], params, None if mask is None else [mask])
+    adj, x, m = _stack([g], params)
     pre = _tower_stack(adj, x, params, "a").data
-    att = attention_softmax(pre.reshape(1, g.n, -1), _live_mask(m), params.config.attention_axis)
+    att = attention_softmax(pre.reshape(1, g.n, -1), m, params.config.attention_axis)
     return Mat(att[0].T)
 
 
-def forward(g: LabeledGraph, params: PiNetParams, mask=None) -> Mat:
+def forward(g: LabeledGraph, params: PiNetParams) -> Mat:
     """Class probability row (1 x C) for one graph."""
-    return _probs(*_stack([g], params, None if mask is None else [mask]), params)
+    return _probs(*_stack([g], params), params)
 
 
 def loss_batch(batch: Batch, params: PiNetParams) -> Mat:
@@ -218,7 +200,7 @@ def loss_batch(batch: Batch, params: PiNetParams) -> Mat:
     over the whole batch."""
     if len(batch) == 0:
         raise DomainError("loss_batch needs a non-empty batch")
-    probs = _probs(*_stack(batch.graphs, params, batch.masks), params)
+    probs = _probs(*_stack(batch.graphs, params), params)
     return cross_entropy(probs, batch.labels)
 
 
@@ -285,20 +267,48 @@ def save_params(params: PiNetParams, path):
 
 
 def load_params(path) -> PiNetParams:
+    """Read a checkpoint written by `save_params`. A malformed document,
+    a weight whose shape disagrees with the config, or a p or q outside
+    [0, 1] raises DataFormatError naming the path and the entry."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
             raise DataFormatError("not a valid checkpoint", path=str(path)) from e
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise DataFormatError(
-            f"unsupported checkpoint format {doc.get('format')!r}", path=str(path)
-        )
-    config = PiNetConfig(**doc["config"])
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise DataFormatError(f"unsupported checkpoint format {fmt!r}", path=str(path))
+
+    def bad(entry: str, why: str) -> DataFormatError:
+        return DataFormatError(f"checkpoint entry {entry!r} {why}", path=str(path))
+
+    try:
+        config = PiNetConfig(**doc["config"])
+    except KeyError:
+        raise bad("config", "is missing") from None
+    except (TypeError, DomainError) as e:
+        raise bad("config", f"is invalid ({e})") from None
+    d, c, f0, f1 = config.d, config.C, config.F0, config.F1
+    shapes = {"w_x0": (d, f0), "w_x1": (f0, f1), "w_a0": (d, f0), "w_a1": (f0, f1),
+              "w_d": (f1 * f1, c)}
     values: dict[str, Mat] = {}
-    for k in WEIGHT_NAMES:
-        w = doc["weights"][k]
-        values[k] = Mat(np.asarray(w["data"]).reshape(w["rows"], w["cols"]))
+    for k, shape in shapes.items():
+        try:
+            w = doc["weights"][k]
+            if (w["rows"], w["cols"]) != shape:
+                raise bad(f"weights.{k}", f"must be {shape[0]}x{shape[1]} for the config, "
+                                          f"got {w['rows']}x{w['cols']}")
+            values[k] = Mat(np.array(w["data"], dtype=np.float64).reshape(shape))
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            if isinstance(e, DataFormatError):
+                raise
+            raise bad(f"weights.{k}", f"is malformed ({e})") from None
     for k in PQ_NAMES:
-        values[k] = Mat.scalar(doc["pq"][k])
+        try:
+            v = doc["pq"][k]
+        except (KeyError, TypeError):
+            raise bad(f"pq.{k}", "is missing") from None
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0:
+            raise bad(f"pq.{k}", f"must be a number in [0, 1], got {v!r}")
+        values[k] = Mat.scalar(v)
     return PiNetParams(values, config)

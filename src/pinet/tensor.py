@@ -328,42 +328,19 @@ def sum_all(a: Mat) -> Mat:
     return _result(np.array([[a.data.sum()]]), (a,), vjp)
 
 
-def _as_mask(mask, n: int) -> np.ndarray:
-    if mask is None:
-        return np.ones(n, dtype=bool)
-    m = np.asarray(mask, dtype=bool).reshape(-1)
-    if m.size != n:
-        raise ShapeError(f"mask length {m.size} does not match normalised axis size {n}")
-    return m
-
-
-def softmax_masked(a: Mat, axis: str = "rows", mask=None) -> Mat:
-    """Exp-normalise slices of `a`, restricted to unmasked positions.
-
-    axis="rows": every row becomes a distribution over its unmasked
-    columns; axis="cols": every column becomes a distribution over its
-    unmasked rows. Masked positions output exactly 0. The max of the
-    unmasked entries is subtracted before exponentiation for stability.
-    """
+def softmax_rows(a: Mat) -> Mat:
+    """Exp-normalise every row of `a` into a distribution over its
+    columns. The row max is subtracted before exponentiation for
+    stability."""
     a = as_mat(a)
-    if axis not in ("rows", "cols"):
-        raise DomainError(f"softmax axis must be 'rows' or 'cols', got {axis!r}")
-    m = _as_mask(mask, a.cols if axis == "rows" else a.rows)
-    if not m.any():
-        raise DegenerateMaskError("softmax slice has every position masked")
-
-    x = a.data if axis == "rows" else a.data.T
-    hi = np.max(np.where(m[None, :], x, -np.inf), axis=1, keepdims=True)
-    e = np.where(m[None, :], np.exp(np.where(m[None, :], x - hi, 0.0)), 0.0)
+    x = a.data
+    e = np.exp(x - x.max(axis=1, keepdims=True))
     y = e / e.sum(axis=1, keepdims=True)
 
     def vjp(g):
-        gx = g if axis == "rows" else g.T
-        dot = (gx * y).sum(axis=1, keepdims=True)
-        gin = y * (gx - dot)
-        return (gin if axis == "rows" else gin.T,)
+        return (y * (g - (g * y).sum(axis=1, keepdims=True)),)
 
-    return _result(y if axis == "rows" else y.T, (a,), vjp)
+    return _result(y, (a,), vjp)
 
 
 def _pq_scalar(v, name: str) -> Mat:

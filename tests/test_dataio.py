@@ -3,6 +3,7 @@ the line-delimited JSON dataset files."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pinet.dataio import Dataset, load_dataset, load_tu, save_dataset
 from pinet.errors import DataFormatError, DomainError, ShapeError
@@ -228,3 +229,97 @@ def test_load_names_missing_header_field(tmp_path, field):
     with pytest.raises(DataFormatError) as err:
         load_dataset(path)
     assert repr(field) in str(err.value) and str(path) in str(err.value)
+
+
+def _edited_line(path, line_no, change):
+    """Rewrite one line of a saved dataset: `change` maps its parsed
+    JSON value to the replacement value."""
+    import json
+
+    lines = path.read_text().splitlines()
+    lines[line_no - 1] = json.dumps(change(json.loads(lines[line_no - 1])))
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("field, value", [
+    (None, [1]),
+    ("label_map", 5),
+    ("label_map", [[1, 2, 3]]),
+    ("label_map", [[[1], 0]]),
+    ("class_count", "x"),
+    ("n_pad", "x"),
+    ("n_pad", 5),  # larger than every graph's n_real
+    ("d", True),
+    ("name", 7),
+])
+def test_load_rejects_malformed_header(tmp_path, field, value):
+    path = tmp_path / "badhead.jsonl"
+    save_dataset(_toy_dataset(), path)
+    _edited_line(path, 1, lambda h: value if field is None else {**h, field: value})
+    with pytest.raises(DataFormatError) as err:
+        load_dataset(path)
+    assert (err.value.path, err.value.line) == (str(path), 1)
+    assert field is None or repr(field) in str(err.value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("edges", [[0.5, 1]]),
+    ("label", 7),  # outside the header's class count
+    ("label", 0.5),
+    ("features", [[1.0, 2.0]] * 3),
+    ("features", [[10**400]] * 3),
+])
+def test_load_rejects_malformed_record(tmp_path, field, value):
+    path = tmp_path / "badrec.jsonl"
+    save_dataset(_toy_dataset(), path)
+    _edited_line(path, 2, lambda rec: {**rec, field: value})
+    with pytest.raises(DataFormatError) as err:
+        load_dataset(path)
+    assert err.value.path == str(path)
+
+
+# -- property tests of the line-JSON loader ----------------------------------------
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=8), kids, max_size=4),
+    max_leaves=12,
+)
+_fuzz = settings(max_examples=200, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _loads_or_names_path(path):
+    try:
+        load_dataset(path)
+    except DataFormatError as e:
+        assert e.path == str(path)
+
+
+def _replacement(fields):
+    """Either a whole arbitrary JSON value, or one field of the valid
+    value replaced by an arbitrary JSON value."""
+    return st.one_of(
+        st.tuples(st.none(), _json_values),
+        st.tuples(st.sampled_from(fields), _json_values),
+    )
+
+
+@_fuzz
+@given(_replacement(["format", "name", "n_pad", "d", "class_count", "label_map"]))
+def test_fuzz_header_line(tmp_path, change):
+    field, value = change
+    path = tmp_path / "fuzz.jsonl"
+    save_dataset(_toy_dataset(), path)
+    _edited_line(path, 1, lambda h: value if field is None else {**h, field: value})
+    _loads_or_names_path(path)
+
+
+@_fuzz
+@given(_replacement(["n_real", "label", "edges", "features"]))
+def test_fuzz_record_line(tmp_path, change):
+    field, value = change
+    path = tmp_path / "fuzz.jsonl"
+    save_dataset(_toy_dataset(), path)
+    _edited_line(path, 2, lambda rec: value if field is None else {**rec, field: value})
+    _loads_or_names_path(path)

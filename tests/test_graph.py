@@ -13,7 +13,6 @@ from pinet.graph import (
     Batch,
     LabeledGraph,
     Permutation,
-    degree_matrix,
     graph_from_edges,
     make_batch,
     pad_graph,
@@ -79,27 +78,6 @@ def test_graph_rejects_out_of_range_edges():
 def test_graph_square_check():
     with pytest.raises(ShapeError):
         LabeledGraph(2, Mat(np.zeros((2, 3))), Mat(np.ones((2, 1))), 0)
-
-
-# -- degree matrix ------------------------------------------------------------
-
-def test_degree_triangle():
-    np.testing.assert_array_equal(
-        degree_matrix(_triangle().adjacency).data, np.diag([2.0, 2.0, 2.0])
-    )
-
-
-def test_degree_path():
-    np.testing.assert_array_equal(
-        degree_matrix(_path3().adjacency).data, np.diag([1.0, 2.0, 1.0])
-    )
-
-
-def test_degree_padded_zero_rows():
-    g = pad_graph(_triangle(), 5)
-    np.testing.assert_array_equal(
-        degree_matrix(g.adjacency).data, np.diag([2.0, 2.0, 2.0, 0.0, 0.0])
-    )
 
 
 # -- propagation matrix -------------------------------------------------------
@@ -288,11 +266,6 @@ def test_batch_two_graphs_labels():
     g0 = graph_from_edges(3, [(0, 1)], label=0)
     b = make_batch([g1, g0], class_count=2)
     np.testing.assert_array_equal(b.labels.data, [[0.0, 1.0], [1.0, 0.0]])
-
-
-def test_batch_mask_of_padded_graph():
-    b = make_batch([pad_graph(_triangle(), 5)], class_count=2)
-    np.testing.assert_array_equal(b.masks[0], [True, True, True, False, False])
 
 
 def test_batch_requires_shared_size():

@@ -323,9 +323,37 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"format": "something-else"}')
+    import json
+
     from pinet.errors import DataFormatError
 
+    good = tmp_path / "good.json"
+    save_params(init_params(_small_config(C=3)), good)
+
+    def edited(change):
+        doc = json.loads(good.read_text())
+        change(doc)
+        return doc
+
+    cases = {
+        "format": {"format": "something-else"},
+        "not an object": [1, 2],
+        "config": edited(lambda doc: doc.pop("config")),
+        "config unknown key": edited(lambda doc: doc["config"].update(depth=2)),
+        "config type": edited(lambda doc: doc["config"].update(F0="x")),
+        "weights.w_x0": edited(lambda doc: doc["config"].update(d=3)),  # w_x0 stays 1x6
+        "weights.w_d": edited(lambda doc: doc["weights"]["w_d"]["data"].pop()),
+        "weights.w_a1": edited(lambda doc: doc["weights"].pop("w_a1")),
+        "pq.p_x0": edited(lambda doc: doc["pq"].update(p_x0=7.0)),
+        "pq.q_a1": edited(lambda doc: doc["pq"].update(q_a1="half")),
+    }
+    for case, doc in cases.items():
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError) as err:
+            load_params(path)
+        assert err.value.path == str(path), case
+        assert case.split()[0] in str(err.value) or case == "not an object", case
+    (tmp_path / "bad.json").write_text("{oops")
     with pytest.raises(DataFormatError):
-        load_params(path)
+        load_params(tmp_path / "bad.json")

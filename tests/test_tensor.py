@@ -1,8 +1,8 @@
 """Tests for the matrix type, the operation set, and reverse-mode gradients.
 
 Covers forward values on small hand-checked inputs, the vjp of every
-operation against central finite differences, masked softmax edge
-cases, and the tape error paths.
+operation against central finite differences, softmax and masked
+attention edge cases, and the tape error paths.
 """
 
 import math
@@ -16,6 +16,7 @@ from pinet.tensor import (
     Tape,
     add,
     attention_pool,
+    attention_softmax,
     backward,
     col_scale,
     cross_entropy,
@@ -27,7 +28,7 @@ from pinet.tensor import (
     row_scale,
     rsqrt_or_zero,
     scale,
-    softmax_masked,
+    softmax_rows,
     sum_all,
     transpose,
 )
@@ -153,54 +154,45 @@ def test_sum_all():
     assert sum_all(Mat([[1.0, 2.0], [3.0, 4.0]])).item() == 10.0
 
 
-# -- masked softmax -----------------------------------------------------------
+# -- softmax ------------------------------------------------------------------
 
 def test_softmax_uniform_row():
-    out = softmax_masked(Mat([[0.0, 0.0, 0.0]]), axis="rows")
+    out = softmax_rows(Mat([[0.0, 0.0, 0.0]]))
     _close(out, [[1 / 3, 1 / 3, 1 / 3]])
-
-
-def test_softmax_masked_tail():
-    out = softmax_masked(Mat([[5.0, 5.0, 5.0, 123.0]]), axis="rows",
-                         mask=[True, True, True, False])
-    _close(out, [[1 / 3, 1 / 3, 1 / 3, 0.0]])
-    assert out.data[0, 3] == 0.0  # exactly zero, not merely small
 
 
 def test_softmax_shift_invariance():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4, 6))
-    a = softmax_masked(Mat(x), axis="rows")
-    b = softmax_masked(Mat(x + 17.5), axis="rows")
+    a = softmax_rows(Mat(x))
+    b = softmax_rows(Mat(x + 17.5))
     np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
 
-def test_softmax_cols_axis():
-    x = Mat([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-    out = softmax_masked(x, axis="cols")
-    np.testing.assert_allclose(out.data.sum(axis=0), [1.0, 1.0], atol=1e-12)
-    # all entries in a column are equal, so each is 1/3
-    _close(out, np.full((3, 2), 1 / 3))
-
-
-def test_softmax_rows_sum_to_one_under_mask():
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=(5, 7))
-    mask = [True, True, False, True, False, True, True]
-    out = softmax_masked(Mat(x), axis="rows", mask=mask)
-    np.testing.assert_allclose(out.data.sum(axis=1), np.ones(5), atol=1e-12)
-    assert (out.data[:, [2, 4]] == 0.0).all()
-
-
-def test_softmax_fully_masked_raises():
-    with pytest.raises(DegenerateMaskError):
-        softmax_masked(Mat([[1.0, 2.0]]), axis="rows", mask=[False, False])
-
-
 def test_softmax_extreme_values_stay_finite():
-    out = softmax_masked(Mat([[1000.0, -1000.0, 0.0]]), axis="rows")
+    out = softmax_rows(Mat([[1000.0, -1000.0, 0.0]]))
     assert np.isfinite(out.data).all()
     np.testing.assert_allclose(out.data.sum(), 1.0, atol=1e-12)
+
+
+def test_attention_softmax_masked_tail():
+    pre = np.array([5.0, 5.0, 5.0, 123.0]).reshape(1, 4, 1)
+    out = attention_softmax(pre, np.array([[True, True, True, False]]), "nodes")
+    np.testing.assert_allclose(out[0, :, 0], [1 / 3, 1 / 3, 1 / 3, 0.0], atol=1e-12)
+    assert out[0, 3, 0] == 0.0  # exactly zero, not merely small
+
+
+def test_attention_softmax_sums_to_one_under_mask():
+    rng = np.random.default_rng(4)
+    pre = rng.normal(size=(2, 7, 5))
+    mask = np.array([[True, True, False, True, False, True, True],
+                     [False, True, True, True, True, True, False]])
+    nodes = attention_softmax(pre, mask, "nodes")  # each column over real nodes
+    np.testing.assert_allclose(nodes.sum(axis=1), np.ones((2, 5)), atol=1e-12)
+    feats = attention_softmax(pre, mask, "features")  # each real row over features
+    np.testing.assert_allclose(feats.sum(axis=2), mask.astype(float), atol=1e-12)
+    for out in (nodes, feats):
+        assert (out[~mask] == 0.0).all()
 
 
 # -- stacked message passing and attention pooling -----------------------------
@@ -384,7 +376,7 @@ def test_grad_check_softmax_cross_entropy():
     y = Mat(np.eye(4)[[0, 2, 1]])
 
     def f(p):
-        return cross_entropy(softmax_masked(p["z"], axis="rows"), y)
+        return cross_entropy(softmax_rows(p["z"]), y)
 
     report = grad_check(f, params, step=1e-5, tol=1e-4)
     assert report.ok, report.failures[:3]
