@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -51,8 +52,15 @@ def _pos_int(text: str) -> int:
 
 def _pos_float(text: str) -> float:
     x = float(text)
-    if x <= 0:
-        raise argparse.ArgumentTypeError(f"{x} is not positive")
+    if not 0 < x < math.inf:
+        raise argparse.ArgumentTypeError(f"{x} is not a positive finite number")
+    return x
+
+
+def _seed(text: str) -> int:
+    x = int(text)
+    if x < 0:
+        raise argparse.ArgumentTypeError(f"{x} is not a non-negative integer")
     return x
 
 
@@ -86,16 +94,19 @@ def _add_data_flags(p: _Parser):
 
 
 def _add_hyper_flags(p: _Parser, pq_default="learned"):
+    """Training flags; `pq_default=None` leaves out `--pq` for commands
+    that choose p, q themselves."""
     p.add_argument("--epochs", type=_pos_int, default=200)
     p.add_argument("--batch-size", type=_pos_int, default=50)
     p.add_argument("--lr", type=_pos_float, default=1e-3)
     p.add_argument("--f0", type=_pos_int, default=100, help="first layer width")
     p.add_argument("--f1", type=_pos_int, default=64, help="second layer width")
     p.add_argument("--attention-axis", choices=("nodes", "features"), default="nodes")
-    p.add_argument("--pq", type=_pq_spec, default=_pq_spec(pq_default),
-                   help="'learned' or fixed 'P,Q' used by all message-passing layers "
-                        f"(default: {pq_default})")
-    p.add_argument("--seed", type=int, default=0)
+    if pq_default is not None:
+        p.add_argument("--pq", type=_pq_spec, default=_pq_spec(pq_default),
+                       help="'learned' or fixed 'P,Q' used by all message-passing layers "
+                            f"(default: {pq_default})")
+    p.add_argument("--seed", type=_seed, default=0)
 
 
 def _echo_config(args, extra=None):
@@ -114,8 +125,7 @@ def _load(args) -> dataio.Dataset:
     raise DomainError("a dataset is required: --data PATH or --tu-dir DIR --tu-name NAME")
 
 
-def _model_config(args, ds: dataio.Dataset) -> model.PiNetConfig:
-    pq = args.pq
+def _model_config(args, ds: dataio.Dataset, pq) -> model.PiNetConfig:
     fixed = pq != "learned"
     return model.PiNetConfig(
         d=ds.d, C=ds.class_count, F0=args.f0, F1=args.f1,
@@ -153,7 +163,8 @@ def cmd_gen_iso(args) -> int:
 def cmd_train(args) -> int:
     ds = _load(args)
     _echo_config(args, {"dataset": ds.name, "graphs": len(ds), "d": ds.d, "C": ds.class_count})
-    result = train.fit(ds.graphs, _train_config(args), _model_config(args, ds))
+    mc = _model_config(args, ds, args.pq)
+    result = train.fit(ds.graphs, _train_config(args), mc)
     acc = train.evaluate(result.params, ds.graphs)
     print(f"epochs: {len(result.epoch_losses)}  steps: {result.steps}")
     print(f"loss: first epoch {result.epoch_losses[0]:.6f}, last epoch {result.epoch_losses[-1]:.6f}")
@@ -168,7 +179,8 @@ def cmd_train(args) -> int:
 def cmd_cv(args) -> int:
     ds = _load(args)
     _echo_config(args, {"dataset": ds.name, "graphs": len(ds), "d": ds.d, "C": ds.class_count})
-    report = train.cross_validate(ds.graphs, args.k, _train_config(args), _model_config(args, ds))
+    mc = _model_config(args, ds, args.pq)
+    report = train.cross_validate(ds.graphs, args.k, _train_config(args), mc)
     for f, acc in enumerate(report.fold_accuracies):
         print(f"fold {f}: accuracy {acc:.4f} (seed {report.fold_seeds[f]})")
     print(f"mean accuracy: {report.mean:.4f} +- {report.std:.4f} ({args.k} folds)")
@@ -195,10 +207,9 @@ def cmd_iso_exp(args) -> int:
             path=prov_path,
         ) from None
     _echo_config(args, {"provenance": prov_path, "dataset": ds.name, "graphs": len(ds)})
-    if len(prov.permutations) != len(ds):
+    if not datagen.verify_provenance(ds, prov):
         raise DataFormatError(
-            f"provenance lists {len(prov.permutations)} copies, dataset has {len(ds)}",
-            path=prov_path,
+            f"dataset {args.data} does not replay from its provenance", path=prov_path
         )
     per_class: dict[int, list[int]] = {}
     for i, g in enumerate(ds.graphs):
@@ -210,22 +221,22 @@ def cmd_iso_exp(args) -> int:
                 f"train size {size} exceeds the smallest class size {smallest}"
             )
     rows = []
-    mc = _model_config(args, ds)
+    mc = _model_config(args, ds, args.pq)
     tc = _train_config(args)
     for size in args.sizes:
         for trial in range(args.trials):
-            rng = np.random.default_rng(args.seed + 7919 * size + trial)
+            trial_seed = args.seed + 7919 * size + trial
+            rng = np.random.default_rng(trial_seed)
             train_idx: list[int] = []
             for cls in sorted(per_class):
                 members = np.asarray(per_class[cls])
                 picked = rng.choice(len(members), size=size, replace=False)
                 train_idx.extend(int(members[i]) for i in picked)
             train_set = set(train_idx)
-            fold_seed = args.seed + 7919 * size + trial
             result = train.fit(
                 [ds.graphs[i] for i in train_idx],
-                replace(tc, seed=fold_seed),
-                replace(mc, seed=fold_seed),
+                replace(tc, seed=trial_seed),
+                replace(mc, seed=trial_seed),
             )
             test = [g for i, g in enumerate(ds.graphs) if i not in train_set]
             acc = train.evaluate(result.params, test)
@@ -237,11 +248,11 @@ def cmd_iso_exp(args) -> int:
 
 
 SWEEP_MODES = (
-    ("fixed-0-0", 0.0, 0.0),
-    ("fixed-0-1", 0.0, 1.0),
-    ("fixed-1-0", 1.0, 0.0),
-    ("fixed-1-1", 1.0, 1.0),
-    ("learned", None, None),
+    ("fixed-0-0", (0.0, 0.0)),
+    ("fixed-0-1", (0.0, 1.0)),
+    ("fixed-1-0", (1.0, 0.0)),
+    ("fixed-1-1", (1.0, 1.0)),
+    ("learned", "learned"),
 )
 
 
@@ -251,26 +262,17 @@ def cmd_sweep(args) -> int:
     tc = _train_config(args)
     rows = []
     means = {}
-    for mode, p, q in SWEEP_MODES:
-        mc = model.PiNetConfig(
-            d=ds.d, C=ds.class_count, F0=args.f0, F1=args.f1,
-            attention_axis=args.attention_axis,
-            pq_mode="learned" if p is None else "fixed",
-            fixed_p=p if p is not None else 1.0,
-            fixed_q=q if q is not None else 0.0,
-            seed=args.seed,
-        )
-        report = train.cross_validate(ds.graphs, args.k, tc, mc)
+    for mode, pq in SWEEP_MODES:
+        report = train.cross_validate(ds.graphs, args.k, tc, _model_config(args, ds, pq))
         means[mode] = report.mean
         print(f"{mode}: mean {report.mean:.4f} +- {report.std:.4f}")
+        p, q = (None, None) if pq == "learned" else pq
         for f, acc in enumerate(report.fold_accuracies):
             rows.append({
-                "dataset": ds.name,
-                "p": p if p is not None else None,
-                "q": q if q is not None else None,
+                "dataset": ds.name, "p": p, "q": q,
                 "mode": mode, "fold": f, "accuracy": acc,
             })
-    fixed_means = [means[m] for m, p, _ in SWEEP_MODES if p is not None]
+    fixed_means = [means[m] for m, pq in SWEEP_MODES if pq != "learned"]
     avg_fixed = sum(fixed_means) / len(fixed_means)
     print(f"fixed-mode average: {avg_fixed:.4f}; learned: {means['learned']:.4f}")
     stats.write_results_csv(
@@ -301,7 +303,7 @@ def build_parser() -> _Parser:
     p.add_argument("--classes", type=_pos_int, default=5)
     p.add_argument("--copies", type=_pos_int, default=100, help="graphs per class")
     p.add_argument("--edge-prob", type=_open_prob, default=0.15)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--provenance-out", default=None)
     p.set_defaults(func=cmd_gen_iso)
@@ -334,13 +336,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="cross-validate the four fixed (p,q) corners and learned mode")
     _add_data_flags(p)
-    _add_hyper_flags(p)
+    _add_hyper_flags(p, pq_default=None)
     p.add_argument("--k", type=_pos_int, default=10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("selfcheck", help="run the randomized consistency suites")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--quick", action="store_true", help="smaller case counts")
     p.set_defaults(func=cmd_selfcheck)
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import Dataset
+from .dataio import Dataset, _is_int
 from .errors import DataFormatError, DomainError, GenerationError
 from .graph import LabeledGraph, Permutation, graph_from_edges, permute_graph, random_permutation
 
@@ -148,7 +148,8 @@ def graph_from_degree_sequence(s: DegreeSequence, seed) -> LabeledGraph:
     randomised by 10*|E| attempted double-edge swaps. A swap replaces
     edges (a,b),(c,d) by (a,d),(c,b) or (a,c),(b,d); attempts that would
     produce a self-loop or duplicate edge are rejected. Degrees are
-    preserved by every accepted swap."""
+    preserved by every accepted swap; the realised graph's degrees are
+    checked once at the end."""
     if not isinstance(s, DegreeSequence):
         s = DegreeSequence(tuple(int(x) for x in s))
     rng = _as_rng(seed)
@@ -171,19 +172,14 @@ def graph_from_degree_sequence(s: DegreeSequence, seed) -> LabeledGraph:
         e2 = (min(c, b), max(c, b))
         if e1 in edge_set or e2 in edge_set:
             continue
-        edge_set.remove((a, b) if a < b else (b, a))
-        edge_set.remove((c, d) if c < d else (d, c))
+        edge_set.remove(edges[i])
+        edge_set.remove(edges[j])
         edge_set.add(e1)
         edge_set.add(e2)
         edges[i], edges[j] = e1, e2
-        if __debug__:
-            counts = np.zeros(len(s), dtype=int)
-            for u, v in edge_set:
-                counts[u] += 1
-                counts[v] += 1
-            assert tuple(counts) == s.degrees, "degree sequence drifted during swaps"
     g = graph_from_edges(len(s), sorted(edge_set))
-    assert degree_sequence_of(g).degrees == s.degrees
+    if degree_sequence_of(g).degrees != s.degrees:
+        raise GenerationError("rewired graph does not realise the degree sequence")
     return g
 
 
@@ -234,7 +230,7 @@ def generate_iso_dataset(params: GenParams) -> tuple[Dataset, IsoProvenance]:
                 f"could not draw a distinct base graph for class {cls} "
                 f"in {BASE_RETRY_CAP} attempts"
             )
-        base = graph_from_edges(n, _edges_of(cand), label=cls)
+        base = replace(cand, label=cls)
         bases.append(base)
         for _ in range(copies):
             perm = random_permutation(n, rng)
@@ -260,14 +256,16 @@ def generate_iso_dataset(params: GenParams) -> tuple[Dataset, IsoProvenance]:
 
 
 def verify_provenance(ds: Dataset, prov: IsoProvenance) -> bool:
-    """Replay check: every copy's adjacency must equal its class base
-    relabelled by the stored permutation."""
+    """Replay check: every copy's label, adjacency and features must
+    equal its class base relabelled by the stored permutation."""
     if len(ds.graphs) != len(prov.permutations):
         return False
+    bases = {cls: prov.base_graph(cls) for cls in set(prov.copy_classes)}
     for g, mapping, cls in zip(ds.graphs, prov.permutations, prov.copy_classes):
-        base = prov.base_graph(cls)
-        replay = permute_graph(base, Permutation(mapping))
-        if g.label != cls or (g.adjacency.data != replay.adjacency.data).any():
+        replay = permute_graph(bases[cls], Permutation(mapping))
+        if not (g.label == cls
+                and np.array_equal(g.adjacency.data, replay.adjacency.data)
+                and np.array_equal(g.features.data, replay.features.data)):
             return False
     return True
 
@@ -296,23 +294,84 @@ def save_provenance(prov: IsoProvenance, path):
         fh.write("\n")
 
 
+def _is_index(v, n: int) -> bool:
+    return _is_int(v, 0) and v < n
+
+
+def _edge_list(v, n: int):
+    """A stored edge list as tuples, or None unless every entry is a
+    pair of distinct node indices in [0, n)."""
+    if not isinstance(v, list) or not all(
+        isinstance(e, list) and len(e) == 2 and e[0] != e[1]
+        and _is_index(e[0], n) and _is_index(e[1], n)
+        for e in v
+    ):
+        return None
+    return tuple((e[0], e[1]) for e in v)
+
+
+def _is_permutation(v, n: int) -> bool:
+    return (isinstance(v, list) and len(v) == n and all(_is_index(i, n) for i in v)
+            and len(set(v)) == n)
+
+
 def load_provenance(path) -> IsoProvenance:
+    """Read a file written by `save_provenance`. A malformed document,
+    an edge or permutation outside the stored node count, or a copy
+    whose class has no base graph raises DataFormatError naming the path
+    and the entry."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
             raise DataFormatError("not a valid provenance file", path=str(path)) from e
-    if doc.get("format") != PROVENANCE_FORMAT:
-        raise DataFormatError(
-            f"unsupported provenance format {doc.get('format')!r}", path=str(path)
-        )
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != PROVENANCE_FORMAT:
+        raise DataFormatError(f"unsupported provenance format {fmt!r}", path=str(path))
+
+    def bad(entry: str, why: str) -> DataFormatError:
+        return DataFormatError(f"provenance entry {entry!r} {why}", path=str(path))
+
+    for entry in ("params", "seed_edges", "degree_sequence", "base_edges",
+                  "permutations", "copy_classes"):
+        if entry not in doc:
+            raise bad(entry, "is missing")
+    raw = doc["params"]
+    if not isinstance(raw, dict) or not all(
+        _is_int(v, 0) for k, v in raw.items() if k in ("n_nodes", "classes", "copies", "seed")
+    ):
+        raise bad("params", "must be an object with non-negative integer n_nodes, "
+                            "classes, copies and seed")
+    try:
+        params = GenParams(**raw)
+    except (TypeError, DomainError) as e:
+        raise bad("params", f"is invalid ({e})") from None
+    n, classes = params.n_nodes, params.classes
+    seed_edges = _edge_list(doc["seed_edges"], n)
+    if seed_edges is None:
+        raise bad("seed_edges", f"must be a list of [u, v] pairs of distinct nodes in [0, {n})")
+    degrees = doc["degree_sequence"]
+    if not (isinstance(degrees, list) and len(degrees) == n
+            and all(_is_index(x, n) for x in degrees)):
+        raise bad("degree_sequence", f"must be a list of {n} degrees in [0, {n})")
+    bases = doc["base_edges"]
+    bases = [_edge_list(e, n) for e in bases] if isinstance(bases, list) else [None]
+    if len(bases) != classes or None in bases:
+        raise bad("base_edges", f"must be {classes} lists of [u, v] pairs of distinct "
+                                f"nodes in [0, {n})")
+    perms = doc["permutations"]
+    if not (isinstance(perms, list) and all(_is_permutation(p, n) for p in perms)):
+        raise bad("permutations", f"must be a list of permutations of [0, {n})")
+    copy_classes = doc["copy_classes"]
+    if not (isinstance(copy_classes, list) and len(copy_classes) == len(perms)
+            and all(_is_index(c, classes) for c in copy_classes)):
+        raise bad("copy_classes", f"must be a list of {len(perms)} classes, each in "
+                                  f"[0, {classes}) with a base graph")
     return IsoProvenance(
-        params=GenParams(**doc["params"]),
-        seed_edges=tuple((e[0], e[1]) for e in doc["seed_edges"]),
-        degree_sequence=tuple(doc["degree_sequence"]),
-        base_edges=tuple(
-            tuple((e[0], e[1]) for e in edges) for edges in doc["base_edges"]
-        ),
-        permutations=tuple(tuple(p) for p in doc["permutations"]),
-        copy_classes=tuple(doc["copy_classes"]),
+        params=params,
+        seed_edges=seed_edges,
+        degree_sequence=tuple(degrees),
+        base_edges=tuple(bases),
+        permutations=tuple(tuple(p) for p in perms),
+        copy_classes=tuple(copy_classes),
     )

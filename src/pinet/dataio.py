@@ -69,7 +69,10 @@ class Dataset:
 
 def _read_lines(path) -> list[str]:
     with open(path) as fh:
-        return fh.read().splitlines()
+        try:
+            return fh.read().splitlines()
+        except UnicodeDecodeError as e:
+            raise DataFormatError(f"undecodable byte at offset {e.start}", path=str(path)) from None
 
 
 def _parse_int(text: str, path, line_no: int) -> int:

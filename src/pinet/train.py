@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -32,8 +33,10 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise DomainError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise DomainError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
         if self.batch_size < 1 or self.epochs < 1:
             raise DomainError("batch_size and epochs must be >= 1")
 
@@ -185,22 +188,20 @@ def cross_validate(
     k: int,
     train_config: TrainConfig,
     model_config: PiNetConfig,
-    workers: int | None = None,
 ) -> EvalReport:
     """k-fold cross-validation: a fresh model per fold, trained on the
     other folds, scored on the held-out one. Fold f uses seed
     train_config.seed + f for parameter init and batch order, so runs
-    are reproducible and folds are independent. `workers` > 1 evaluates
-    folds in a thread pool (default from PINET_THREADS, else serial);
+    are reproducible and folds are independent. PINET_THREADS > 1
+    evaluates folds in a thread pool of that size (default 1, serial);
     results are identical either way."""
     graphs = list(graphs)
     folds = stratified_kfold([g.label for g in graphs], k, train_config.seed)
     fold_seeds = tuple(train_config.seed + f for f in range(k))
-    if workers is None:
-        raw = os.environ.get("PINET_THREADS", "1")
-        if not raw.strip().isdecimal() or int(raw) < 1:
-            raise DomainError(f"PINET_THREADS must be an integer >= 1, got {raw!r}")
-        workers = int(raw)
+    raw = os.environ.get("PINET_THREADS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise DomainError(f"PINET_THREADS must be an integer >= 1, got {raw!r}")
+    workers = int(raw)
     jobs = [
         (graphs, folds[f], train_config, model_config, fold_seeds[f])
         for f in range(k)

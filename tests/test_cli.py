@@ -230,6 +230,33 @@ def test_iso_exp_requires_provenance(capsys, tmp_path):
     assert "provenance" in err
 
 
+def test_iso_exp_rejects_provenance_that_does_not_replay(capsys, tmp_path, tiny_iso):
+    # a provenance with two permutations exchanged is still well formed
+    prov_path = tmp_path / "iso.jsonl.prov.json"
+    doc = json.loads(prov_path.read_text())
+    doc["permutations"][0], doc["permutations"][1] = doc["permutations"][1], doc["permutations"][0]
+    prov_path.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, [
+        "iso-exp", "--data", str(tiny_iso), "--sizes", "1", "--trials", "1",
+        "--epochs", "1", "--out", str(tmp_path / "x.csv"),
+    ])
+    assert code == 1
+    assert err.startswith("error:") and "replay" in err and str(prov_path) in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("content", [b"[]", b'{"format": "pinet-provenance-v1"}', b"\xff"])
+def test_iso_exp_malformed_provenance_exits_one(capsys, tmp_path, tiny_iso, content):
+    prov_path = tmp_path / "iso.jsonl.prov.json"
+    prov_path.write_bytes(content)
+    code, _, err = _run(capsys, [
+        "iso-exp", "--data", str(tiny_iso), "--sizes", "1", "--trials", "1",
+        "--epochs", "1", "--out", str(tmp_path / "x.csv"),
+    ])
+    assert code == 1
+    assert err.startswith("error:") and str(prov_path) in err
+
+
 # -- sweep --------------------------------------------------------------------------
 
 def test_sweep_five_modes_by_k_folds(capsys, tmp_path):
@@ -266,6 +293,36 @@ def test_sweep_deterministic(capsys, tmp_path):
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_sweep_has_no_pq_flag(capsys, tmp_path):
+    # sweep fixes p, q per mode itself, so it takes no --pq
+    data = _toy_dataset_file(tmp_path, copies=3)
+    code, _, err = _run(capsys, [
+        "sweep", "--data", str(data), "--pq", "0.3,0.2", "--out", str(tmp_path / "s.csv"),
+    ])
+    assert code == 1
+    assert "unrecognized arguments: --pq" in err
+
+
+# -- numeric flags ------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--lr", "nan"],
+    ["train", "--lr", "inf"],
+    ["cv", "--lr", "-inf"],
+    ["train", "--seed", "-1"],
+    ["cv", "--seed", "-1"],
+    ["sweep", "--seed", "-1"],
+    ["iso-exp", "--seed", "-1"],
+    ["gen-iso", "--seed", "-1"],
+    ["selfcheck", "--seed", "-1"],
+], ids=" ".join)
+def test_bad_numeric_flag_exits_one(capsys, argv):
+    # refused while parsing, before any other argument is looked at
+    code, _, err = _run(capsys, argv)
+    assert code == 1
+    assert f"argument {argv[1]}: " in err and "Traceback" not in err
 
 
 # -- selfcheck ------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Tests for graph generation: connected samples, degree-preserving
 rewiring, and the permuted-copy dataset with its provenance record."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from pinet import datagen
+from pinet.dataio import save_dataset
 from pinet.datagen import (
     DegreeSequence,
     GenParams,
@@ -16,7 +21,8 @@ from pinet.datagen import (
     save_provenance,
     verify_provenance,
 )
-from pinet.errors import DomainError, GenerationError
+from pinet.errors import DataFormatError, DomainError, GenerationError
+from pinet.tensor import Mat
 
 
 def _degrees(g):
@@ -125,6 +131,14 @@ def test_degree_sequence_rewiring_varies_edges():
     assert len(edge_sets) > 1
 
 
+def test_degree_sequence_end_check_raises(monkeypatch):
+    # a realised graph that lost an edge must be refused, also under python -O
+    build = datagen.graph_from_edges
+    monkeypatch.setattr(datagen, "graph_from_edges", lambda n, edges: build(n, edges[:-1]))
+    with pytest.raises(GenerationError, match="degree sequence"):
+        graph_from_degree_sequence(DegreeSequence((2, 2, 2, 2)), seed=0)
+
+
 # -- dataset generation --------------------------------------------------------
 
 def test_gen_params_validation():
@@ -220,3 +234,89 @@ def test_provenance_detects_tamper(small_iso):
     bad_perms[3] = tuple(p)
     tampered = replace(prov, permutations=tuple(bad_perms))
     assert not verify_provenance(ds, tampered)
+
+
+def test_generated_files_pinned(tmp_path, small_iso):
+    # provenance replay relies on gen-iso writing the same bytes per seed
+    ds, prov = small_iso
+    save_dataset(ds, tmp_path / "iso.jsonl")
+    save_provenance(prov, tmp_path / "iso.prov.json")
+    digest = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+              for f in ("iso.jsonl", "iso.prov.json")}
+    assert digest == {
+        "iso.jsonl": "5b9d9aedad909eb1814d328bc922d9c4d3fc734ec9c046f56f7a72fae2659120",
+        "iso.prov.json": "7079c1f6f6a31669050a078f14ab541efbaecc51c008e37190b13f27c4766871",
+    }
+
+
+def test_verify_provenance_rejects_other_sizes_and_features(small_iso):
+    ds, prov = small_iso
+    from dataclasses import replace
+
+    _, larger = generate_iso_dataset(replace(prov.params, n_nodes=13))
+    assert not verify_provenance(ds, larger)
+    g = ds.graphs[0]
+    scaled = replace(g, features=Mat(2 * g.features.data))
+    assert not verify_provenance(replace(ds, graphs=(scaled,) + ds.graphs[1:]), prov)
+
+
+def _swap_first_permutations(doc):
+    doc["permutations"][0], doc["permutations"][1] = doc["permutations"][1], doc["permutations"][0]
+    return doc
+
+
+# entry named in the error -> edit of the saved provenance document
+_BAD_PROVENANCE = {
+    "non-object": (None, lambda doc: [doc]),
+    "unknown-param": ("params", lambda doc: {**doc, "params": {**doc["params"], "size": 3}}),
+    "param-type": ("params", lambda doc: {**doc, "params": {**doc["params"], "n_nodes": "12"}}),
+    "param-float": ("params", lambda doc: {**doc, "params": {**doc["params"], "copies": 4.0}}),
+    "missing-permutations": ("permutations", lambda doc: {
+        k: v for k, v in doc.items() if k != "permutations"}),
+    "seed-edge-self-loop": ("seed_edges", lambda doc: {**doc, "seed_edges": [[1, 1]]}),
+    "seed-edge-outside": ("seed_edges", lambda doc: {**doc, "seed_edges": [[0, 12]]}),
+    "seed-edge-triple": ("seed_edges", lambda doc: {**doc, "seed_edges": [[0, 1, 2]]}),
+    "degree-length": ("degree_sequence", lambda doc: {**doc, "degree_sequence": [1, 1]}),
+    "base-edge-string": ("base_edges", lambda doc: {
+        **doc, "base_edges": [[["0", "1"]]] + doc["base_edges"][1:]}),
+    "base-missing-class": ("base_edges", lambda doc: {
+        **doc, "base_edges": doc["base_edges"][:2]}),
+    "permutation-repeat": ("permutations", lambda doc: {
+        **doc, "permutations": [[0] * 12] + doc["permutations"][1:]}),
+    "permutation-length": ("permutations", lambda doc: {
+        **doc, "permutations": [list(range(11))] + doc["permutations"][1:]}),
+    "permutation-bool": ("permutations", lambda doc: {
+        **doc, "permutations": [[True, False] + list(range(2, 12))] + doc["permutations"][1:]}),
+    "class-without-base": ("copy_classes", lambda doc: {
+        **doc, "copy_classes": [3] + doc["copy_classes"][1:]}),
+    "class-count": ("copy_classes", lambda doc: {
+        **doc, "copy_classes": doc["copy_classes"][:-1]}),
+    "class-negative": ("copy_classes", lambda doc: {
+        **doc, "copy_classes": [-1] + doc["copy_classes"][1:]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_PROVENANCE))
+def test_load_provenance_rejects_malformed(tmp_path, small_iso, case):
+    entry, edit = _BAD_PROVENANCE[case]
+    path = tmp_path / "prov.json"
+    save_provenance(small_iso[1], path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(DataFormatError) as err:
+        load_provenance(path)
+    assert err.value.path == str(path)
+    if entry is not None:
+        assert repr(entry) in str(err.value)
+
+
+@pytest.mark.parametrize("content", [
+    b'{"format": "pinet-provenance-v1", "params": "\xff"}',  # not UTF-8
+    b"[" * 100_000 + b"]" * 100_000,
+    b"",
+])
+def test_load_provenance_rejects_undecodable(tmp_path, content):
+    path = tmp_path / "prov.json"
+    path.write_bytes(content)
+    with pytest.raises(DataFormatError) as err:
+        load_provenance(path)
+    assert err.value.path == str(path)

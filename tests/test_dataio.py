@@ -136,6 +136,45 @@ def test_tu_malformed_edge_reported(tmp_path):
         load_tu(tmp_path, "BADE")
 
 
+@pytest.mark.parametrize("suffix", ["A", "graph_indicator", "graph_labels", "node_labels"])
+def test_tu_undecodable_bytes_name_the_file(tmp_path, suffix):
+    d = _write_tu(tmp_path, "BIN", ["1, 2"], ["1", "1"], ["1"], node_labels=["0", "1"])
+    f = d / f"BIN_{suffix}.txt"
+    f.write_bytes(f.read_bytes() + b"\xff\n")
+    with pytest.raises(DataFormatError) as err:
+        load_tu(tmp_path, "BIN")
+    assert err.value.path == str(f)
+
+
+_tu_lines = st.lists(
+    st.one_of(
+        st.sampled_from(["1", "2", "3", "-1", "0", "1, 2", "2, 1", "1, 3", "2,3", ""]),
+        st.text(max_size=10),
+        st.binary(max_size=6),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.tuples(_tu_lines, _tu_lines, _tu_lines, st.none() | _tu_lines))
+def test_fuzz_tu_files(tmp_path, files):
+    # any lines, text or not, in any of the four files: load or name the file
+    d = tmp_path / "FZ"
+    d.mkdir(exist_ok=True)
+    for suffix, lines in zip(["A", "graph_indicator", "graph_labels", "node_labels"], files):
+        f = d / f"FZ_{suffix}.txt"
+        if lines is None:
+            f.unlink(missing_ok=True)
+            continue
+        f.write_bytes(b"\n".join(x if isinstance(x, bytes) else x.encode() for x in lines))
+    try:
+        load_tu(d, "FZ")
+    except DataFormatError as e:
+        assert e.path is not None and str(e.path).startswith(str(d))
+
+
 # -- dataset file round trips ---------------------------------------------------
 
 def _toy_dataset():
@@ -198,6 +237,15 @@ def test_load_reports_bad_record_line(tmp_path):
     with pytest.raises(DataFormatError) as err:
         load_dataset(path)
     assert ":3]" in str(err.value)
+
+
+def test_load_undecodable_bytes_names_the_path(tmp_path):
+    path = tmp_path / "bin.jsonl"
+    save_dataset(_toy_dataset(), path)
+    path.write_bytes(path.read_bytes() + b'{"n_real": "\xff"}\n')
+    with pytest.raises(DataFormatError) as err:
+        load_dataset(path)
+    assert err.value.path == str(path)
 
 
 def test_load_rejects_edge_outside_range(tmp_path):

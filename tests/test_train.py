@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pinet import train
 from pinet.errors import DomainError, TrainingError
 from pinet.graph import graph_from_edges
 from pinet.model import PiNetConfig, init_params
@@ -124,8 +125,9 @@ def test_fit_rejects_empty():
 
 
 def test_train_config_validation():
-    with pytest.raises(DomainError):
-        TrainConfig(learning_rate=0.0)
+    for lr in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
     with pytest.raises(DomainError):
         TrainConfig(batch_size=0)
 
@@ -257,3 +259,20 @@ def test_cross_validate_deterministic():
             TrainConfig(learning_rate=1e-2, batch_size=8, epochs=2, seed=5),
             PiNetConfig(d=1, C=2, F0=4, F1=3, seed=5))
     assert cross_validate(*args).fold_accuracies == cross_validate(*args).fold_accuracies
+
+
+def test_cross_validate_pool_matches_serial(monkeypatch):
+    graphs = _toy_dataset(4)
+    args = (graphs, 3,
+            TrainConfig(learning_rate=1e-2, batch_size=4, epochs=2, seed=3),
+            PiNetConfig(d=1, C=2, F0=4, F1=3, seed=3))
+    pools = []
+    pool = train.ThreadPoolExecutor
+    monkeypatch.setattr(train, "ThreadPoolExecutor",
+                        lambda max_workers: pools.append(max_workers) or pool(max_workers))
+    monkeypatch.setenv("PINET_THREADS", "1")
+    serial = cross_validate(*args)
+    assert pools == []
+    monkeypatch.setenv("PINET_THREADS", "2")
+    assert cross_validate(*args) == serial
+    assert pools == [2]
