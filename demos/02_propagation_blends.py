@@ -6,9 +6,10 @@
 #   q   blends self-loops in:   A + qI
 #   p   blends normalisation out: (pI + (1-p)D)^(-1/2) on both sides
 #
-# The four corners of the unit square recover the classic choices, and
-# because p and q live on the tape they can be *learned* alongside the
-# weights.
+# The four corners of the unit square recover the classic choices. The
+# model's `propagate` op differentiates through p and q, so they can be
+# *learned* alongside the weights; `propagation_matrix` below builds the
+# same operator explicitly, as plain numbers.
 
 import numpy as np
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import Dataset, _is_int
+from .dataio import Dataset, _is_int, atomic_write
 from .errors import DataFormatError, DomainError, GenerationError
 from .graph import LabeledGraph, Permutation, graph_from_edges, permute_graph, random_permutation
 
@@ -256,11 +256,17 @@ def generate_iso_dataset(params: GenParams) -> tuple[Dataset, IsoProvenance]:
 
 
 def verify_provenance(ds: Dataset, prov: IsoProvenance) -> bool:
-    """Replay check: every copy's label, adjacency and features must
-    equal its class base relabelled by the stored permutation."""
+    """Replay check: the seed graph and every class base must realise the
+    stored degree sequence, and every copy's label, adjacency and
+    features must equal its class base relabelled by the stored
+    permutation."""
     if len(ds.graphs) != len(prov.permutations):
         return False
-    bases = {cls: prov.base_graph(cls) for cls in set(prov.copy_classes)}
+    bases = {cls: prov.base_graph(cls) for cls in range(len(prov.base_edges))}
+    seed_graph = graph_from_edges(prov.params.n_nodes, prov.seed_edges)
+    for g in (seed_graph, *bases.values()):
+        if degree_sequence_of(g).degrees != prov.degree_sequence:
+            return False
     for g, mapping, cls in zip(ds.graphs, prov.permutations, prov.copy_classes):
         replay = permute_graph(bases[cls], Permutation(mapping))
         if not (g.label == cls
@@ -289,7 +295,7 @@ def save_provenance(prov: IsoProvenance, path):
         "permutations": [list(p) for p in prov.permutations],
         "copy_classes": list(prov.copy_classes),
     }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh)
         fh.write("\n")
 

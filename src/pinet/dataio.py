@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,24 @@ import numpy as np
 from .errors import DataFormatError, DomainError, ShapeError
 from .graph import LabeledGraph
 from .tensor import Mat
+
+
+@contextmanager
+def atomic_write(path, newline=None):
+    """Open `path` for writing text so that it changes only when the
+    block completes: the text goes to a temporary file in the same
+    directory, which `os.replace` then moves over `path`. If the block
+    raises, the previous file at `path` is left as it was and the
+    temporary file is removed."""
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "x", newline=newline)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,7 +274,7 @@ def save_dataset(ds: Dataset, path):
         "class_count": ds.class_count,
         "label_map": [[k, v] for k, v in ds.label_map.items()],
     }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps(header) + "\n")
         for g in ds.graphs:
             a = g.adjacency.data

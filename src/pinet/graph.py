@@ -14,16 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .tensor import (
-    Mat,
-    add,
-    as_mat,
-    col_scale,
-    row_scale,
-    rsqrt_or_zero,
-    scale,
-    transpose,
-)
+from .tensor import Mat, _pq_scalar, as_mat
 
 
 def _leading_mask(n_real: int, n: int) -> np.ndarray:
@@ -235,9 +226,10 @@ def propagation_matrix(a: Mat, p, q) -> Mat:
     exactly. A zero diagonal entry (isolated node at p=0) maps to 0
     under the inverse square root, keeping such nodes inert.
 
-    p and q may be floats (validated to lie in [0,1]) or 1x1 matrices,
-    possibly tracked on a tape; the result is then differentiable with
-    respect to them.
+    p and q are floats in [0,1] or 1x1 matrices, read by value even when
+    tracked on a tape. The result is a plain, untracked matrix: this is
+    the reference that `tensor.propagate` and its gradients are checked
+    against, not a layer of the model.
     """
     a = as_mat(a)
     if a.rows != a.cols:
@@ -247,17 +239,12 @@ def propagation_matrix(a: Mat, p, q) -> Mat:
         raise DomainError("adjacency entries must be 0 or 1")
     if (ad != ad.T).any():
         raise DomainError("adjacency must be symmetric")
-    for name, v in (("p", p), ("q", q)):
-        if isinstance(v, (int, float)) and not 0.0 <= v <= 1.0:
-            raise DomainError(f"{name}={v} outside [0, 1]")
+    pv, qv = _pq_scalar(p, "p").item(), _pq_scalar(q, "q").item()
 
-    n = a.rows
-    pm = p if isinstance(p, Mat) else Mat.scalar(p)
-    qm = q if isinstance(q, Mat) else Mat.scalar(q)
-    deg = Mat(ad.sum(axis=1, keepdims=True))
-    ones = Mat.ones(n, 1)
-    one_minus_p = add(Mat.scalar(1.0), scale(pm, -1.0))
-    mixed = add(scale(ones, pm), scale(deg, one_minus_p))
-    s = rsqrt_or_zero(mixed)  # N x 1 column of diagonal scale factors
-    core = add(a, scale(Mat.eye(n), qm))
-    return row_scale(col_scale(core, transpose(s)), s)
+    mixed = pv + (1.0 - pv) * ad.sum(axis=1, keepdims=True)
+    if (mixed < 0).any():
+        raise DomainError("p + (1-p)*deg must be non-negative")
+    pos = mixed > 0
+    s = np.zeros_like(mixed)  # N x 1 column of diagonal scale factors
+    s[pos] = mixed[pos] ** -0.5
+    return Mat((ad + qv * np.eye(a.rows)) * s.T * s)

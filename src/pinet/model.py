@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import atomic_write
 from .errors import DataFormatError, DomainError, ShapeError
 from .graph import Batch, LabeledGraph
 from .tensor import (
@@ -261,7 +262,7 @@ def save_params(params: PiNetParams, path):
         },
         "pq": {k: params.values[k].item() for k in PQ_NAMES},
     }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh)
         fh.write("\n")
 

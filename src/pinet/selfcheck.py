@@ -21,7 +21,7 @@ from .graph import (
     random_permutation,
 )
 from .model import PQ_NAMES, PiNetConfig, forward, init_params, loss_batch
-from .tensor import Mat, Tape, backward, grad_check, hadamard, propagate, sum_all
+from .tensor import Mat, Tape, backward, grad_check, matmul, propagate
 
 
 @dataclass
@@ -140,20 +140,52 @@ def check_corners(cases: int = 50, seed: int = 0, tol: float = 1e-12) -> SuiteRe
     return res
 
 
-def _probe_grads(fn, h, p, q, g) -> dict[str, np.ndarray]:
-    """Gradients of sum(g * fn(H, p, q)) with respect to H, p and q."""
+def _tape_probe(adj, h, p, q, g) -> dict[str, np.ndarray]:
+    """`propagate`'s value and the tape gradients of sum(G * out) with
+    respect to H, p and q. The scalar root is built from matmul alone:
+    one G[:, k]^T out e_k probe per column, summed, which is exact
+    because the gradients are linear in G."""
     tape = Tape()
-    out = fn(tape.leaf(Mat(h), "h"), tape.leaf(Mat.scalar(p), "p"), tape.leaf(Mat.scalar(q), "q"))
-    grads = backward(tape, sum_all(hadamard(out, Mat(g))))
-    return {k: grads[k].data if k in grads else np.zeros((1, 1)) for k in ("h", "p", "q")}
+    out = propagate(adj, tape.leaf(Mat(h), "h"), tape.leaf(Mat.scalar(p), "p"),
+                    tape.leaf(Mat.scalar(q), "q"))
+    got = {"out": out.data, "h": np.zeros_like(h), "p": np.zeros((1, 1)), "q": np.zeros((1, 1))}
+    for k in range(h.shape[1]):
+        e_k = np.zeros((h.shape[1], 1))
+        e_k[k] = 1.0
+        grads = backward(tape, matmul(matmul(Mat(g[:, k:k + 1].T), out), Mat(e_k)))
+        for name, grad in grads.items():
+            got[name] = got[name] + grad.data
+    return got
+
+
+def _closed_form(a, h, p, q, g) -> dict[str, np.ndarray]:
+    """Reference At(p, q) @ H for one graph and the gradients of
+    sum(G * At H) from closed forms: At is symmetric, so dH = At G;
+    dAt/dq = S^2; dAt/dp = S'(A+qI)S + S(A+qI)S' with
+    s' = -s^3 (1-deg) / 2, which is 0 where s = 0 by convention."""
+    at = propagation_matrix(Mat(a), p, q).data
+    deg = a.sum(axis=1)
+    mixed = p + (1.0 - p) * deg
+    s = np.zeros_like(mixed)
+    s[mixed > 0] = mixed[mixed > 0] ** -0.5
+    ds = -0.5 * s ** 3 * (1.0 - deg)
+    core = a + q * np.eye(len(a))
+    dat_dp = ds[:, None] * core * s[None, :] + s[:, None] * core * ds[None, :]
+    return {
+        "out": at @ h,
+        "h": at @ g,
+        "p": np.array([[(g * (dat_dp @ h)).sum()]]),
+        "q": np.array([[(g * (s[:, None] ** 2 * h)).sum()]]),
+    }
 
 
 def check_fused_layer(cases: int = 60, seed: int = 0, tol: float = 1e-12) -> SuiteResult:
     """`propagate` on a stack of graphs equals the reference
-    propagation_matrix(A, p, q) @ H per graph, in value and in its
-    gradients for H, p and q. Stacks mix real node counts, carry padded
-    and isolated nodes, and cover the four (p, q) corners and interior
-    points. Errors are relative to max(1, |reference|)."""
+    propagation_matrix(A, p, q) @ H per graph, and its tape gradients
+    for H, p and q equal the closed-form derivatives of At(p, q). Stacks
+    mix real node counts, carry padded and isolated nodes, and cover the
+    four (p, q) corners and interior points. Errors are relative to
+    max(1, |reference|)."""
     rng = np.random.default_rng(seed)
     res = SuiteResult("fused-propagation", cases, tol)
     corners = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
@@ -178,14 +210,11 @@ def check_fused_layer(cases: int = 60, seed: int = 0, tol: float = 1e-12) -> Sui
             pv = 0.0  # p = 0 leaves isolated nodes with no scale at all
         pv, qv = float(pv), float(qv)
 
-        got = _probe_grads(lambda hh, pp, qq: propagate(adj, hh, pp, qq), h, pv, qv, g)
-        got["out"] = propagate(adj, Mat(h), pv, qv).data
-        parts = []
-        for k in range(b):
-            rows = slice(k * n, (k + 1) * n)
-            one = _probe_grads(lambda hh, pp, qq: propagation_matrix(Mat(adj[k]), pp, qq) @ hh,
-                               h[rows], pv, qv, g[rows])
-            parts.append(dict(one, out=propagation_matrix(Mat(adj[k]), pv, qv).data @ h[rows]))
+        got = _tape_probe(adj, h, pv, qv, g)
+        parts = [
+            _closed_form(adj[k], h[k * n:(k + 1) * n], pv, qv, g[k * n:(k + 1) * n])
+            for k in range(b)
+        ]
         want = {k: np.concatenate([one[k] for one in parts]) for k in ("out", "h")}
         want.update({k: sum(one[k] for one in parts) for k in ("p", "q")})
         err = float(max(

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import atomic_write
 from .errors import DomainError
 
 
@@ -172,7 +173,7 @@ def write_results_csv(rows, path, columns=None):
             return f"{float(v):.6f}"
         return str(v)
 
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(columns)
         for row in rows:

@@ -1,9 +1,11 @@
 """Dense float64 matrices with a reverse-mode differentiation tape.
 
-The building blocks here are deliberately small: a `Mat` is an immutable
-2-D float64 matrix, a `Tape` records every differentiable operation that
-touches a tracked `Mat`, and `backward` walks the tape once in reverse to
-produce gradients for the registered leaf parameters.
+The tape differentiates one model and holds only the ops that model
+calls: `matmul`, `relu`, `softmax_rows`, `propagate`, `attention_pool`
+and `cross_entropy`. A `Mat` is an immutable 2-D float64 matrix, a
+`Tape` records every op that touches a tracked `Mat`, and `backward`
+walks the tape once in reverse to produce gradients for the registered
+leaf parameters.
 
 A tape is built per forward pass (define-by-run). `Mat` values are
 immutable and safe to share across threads; a `Tape` is single-threaded.
@@ -14,8 +16,9 @@ a plain B x N x N adjacency array and a B x N node mask. Two fused ops
 work on such stacks with hand-written gradients: `propagate` applies
 the At(p, q) operator of every graph without materialising it, and
 `attention_pool` turns the attention-tower stack into per-graph pooled
-rows. At(p, q) itself is built only by `graph.propagation_matrix`, the
-reference those ops are checked against.
+rows. At(p, q) itself is built in plain numpy by
+`graph.propagation_matrix`; the `fused-propagation` selfcheck holds
+`propagate` to it in value and to its closed-form derivatives in p and q.
 """
 
 from __future__ import annotations
@@ -104,25 +107,8 @@ class Mat:
         return Mat._adopt(np.zeros((rows, cols)))
 
     @staticmethod
-    def ones(rows: int, cols: int) -> "Mat":
-        return Mat._adopt(np.ones((rows, cols)))
-
-    @staticmethod
-    def eye(n: int) -> "Mat":
-        return Mat._adopt(np.eye(n))
-
-    @staticmethod
     def scalar(x: float) -> "Mat":
         return Mat._adopt(np.array([[float(x)]]))
-
-    def __matmul__(self, other: "Mat") -> "Mat":
-        return matmul(self, other)
-
-    def __add__(self, other: "Mat") -> "Mat":
-        return add(self, other)
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        return add(self, scale(other, -1.0))
 
     def __repr__(self) -> str:
         tag = " tracked" if self.is_tracked else ""
@@ -203,15 +189,6 @@ def matmul(a: Mat, b: Mat) -> Mat:
     return _result(ad @ bd, (a, b), vjp)
 
 
-def transpose(a: Mat) -> Mat:
-    a = as_mat(a)
-
-    def vjp(g):
-        return (g.T,)
-
-    return _result(a.data.T, (a,), vjp)
-
-
 def relu(a: Mat) -> Mat:
     """Elementwise max(0, x); the subgradient at exactly 0 is 0."""
     a = as_mat(a)
@@ -221,111 +198,6 @@ def relu(a: Mat) -> Mat:
         return (g * pos,)
 
     return _result(np.maximum(a.data, 0.0), (a,), vjp)
-
-
-def add(a: Mat, b: Mat) -> Mat:
-    a, b = as_mat(a), as_mat(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shapes differ, {a.rows}x{a.cols} + {b.rows}x{b.cols}")
-
-    def vjp(g):
-        return g, g
-
-    return _result(a.data + b.data, (a, b), vjp)
-
-
-def scale(a: Mat, s: "Mat | float") -> Mat:
-    """Multiply every entry of `a` by the scalar `s` (float or 1x1 Mat)."""
-    a = as_mat(a)
-    if isinstance(s, (int, float)):
-        sv = float(s)
-
-        def vjp(g):
-            return (g * sv,)
-
-        return _result(a.data * sv, (a,), vjp)
-    s = as_mat(s)
-    if s.shape != (1, 1):
-        raise ShapeError(f"scale: scalar factor must be 1x1, got {s.rows}x{s.cols}")
-    sv = s.data[0, 0]
-    ad = a.data
-
-    def vjp2(g):
-        return g * sv, np.array([[float((g * ad).sum())]])
-
-    return _result(ad * sv, (a, s), vjp2)
-
-
-def hadamard(a: Mat, b: Mat) -> Mat:
-    """Elementwise product of two same-shape matrices."""
-    a, b = as_mat(a), as_mat(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"hadamard: shapes differ, {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
-    ad, bd = a.data, b.data
-
-    def vjp(g):
-        return g * bd, g * ad
-
-    return _result(ad * bd, (a, b), vjp)
-
-
-def row_scale(a: Mat, s: Mat) -> Mat:
-    """Multiply row i of `a` by s[i, 0]; `s` is a column vector."""
-    a, s = as_mat(a), as_mat(s)
-    if s.cols != 1 or s.rows != a.rows:
-        raise ShapeError(f"row_scale: need {a.rows}x1 factors, got {s.rows}x{s.cols}")
-    ad, sd = a.data, s.data
-
-    def vjp(g):
-        return g * sd, (g * ad).sum(axis=1, keepdims=True)
-
-    return _result(ad * sd, (a, s), vjp)
-
-
-def col_scale(a: Mat, s: Mat) -> Mat:
-    """Multiply column j of `a` by s[0, j]; `s` is a row vector."""
-    a, s = as_mat(a), as_mat(s)
-    if s.rows != 1 or s.cols != a.cols:
-        raise ShapeError(f"col_scale: need 1x{a.cols} factors, got {s.rows}x{s.cols}")
-    ad, sd = a.data, s.data
-
-    def vjp(g):
-        return g * sd, (g * ad).sum(axis=0, keepdims=True)
-
-    return _result(ad * sd, (a, s), vjp)
-
-
-def rsqrt_or_zero(a: Mat) -> Mat:
-    """Elementwise x^(-1/2) with the convention 0^(-1/2) := 0.
-
-    The zero fallback is the pseudo-inverse convention used for padded
-    or isolated nodes whose degree entry is exactly 0; its derivative
-    there is also defined as 0.
-    """
-    a = as_mat(a)
-    if (a.data < 0).any():
-        raise DomainError("rsqrt_or_zero requires non-negative entries")
-    pos = a.data > 0
-    out = np.zeros_like(a.data)
-    out[pos] = a.data[pos] ** -0.5
-    dd = np.zeros_like(a.data)
-    dd[pos] = -0.5 * a.data[pos] ** -1.5
-
-    def vjp(g):
-        return (g * dd,)
-
-    return _result(out, (a,), vjp)
-
-
-def sum_all(a: Mat) -> Mat:
-    """Sum of all entries as a 1x1 matrix."""
-    a = as_mat(a)
-    shape = a.shape
-
-    def vjp(g):
-        return (np.full(shape, g[0, 0]),)
-
-    return _result(np.array([[a.data.sum()]]), (a,), vjp)
 
 
 def softmax_rows(a: Mat) -> Mat:

@@ -245,6 +245,22 @@ def test_iso_exp_rejects_provenance_that_does_not_replay(capsys, tmp_path, tiny_
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_iso_exp_rejects_provenance_with_wrong_degrees(capsys, tmp_path, tiny_iso):
+    # zero degrees and no seed edges are well formed but contradict the bases
+    prov_path = tmp_path / "iso.jsonl.prov.json"
+    doc = json.loads(prov_path.read_text())
+    doc["degree_sequence"] = [0] * len(doc["degree_sequence"])
+    doc["seed_edges"] = []
+    prov_path.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, [
+        "iso-exp", "--data", str(tiny_iso), "--sizes", "1", "--trials", "1",
+        "--epochs", "1", "--out", str(tmp_path / "x.csv"),
+    ])
+    assert code == 1
+    assert err.startswith("error:") and "replay" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("content", [b"[]", b'{"format": "pinet-provenance-v1"}', b"\xff"])
 def test_iso_exp_malformed_provenance_exits_one(capsys, tmp_path, tiny_iso, content):
     prov_path = tmp_path / "iso.jsonl.prov.json"

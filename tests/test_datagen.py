@@ -260,6 +260,21 @@ def test_verify_provenance_rejects_other_sizes_and_features(small_iso):
     assert not verify_provenance(replace(ds, graphs=(scaled,) + ds.graphs[1:]), prov)
 
 
+@pytest.mark.parametrize("edit", [
+    {"degree_sequence": "zeros", "seed_edges": ()},
+    {"degree_sequence": "zeros"},
+    {"seed_edges": ()},
+], ids=["both", "degrees", "seed-edges"])
+def test_verify_provenance_checks_degree_sequence(small_iso, edit):
+    # the copies still replay from their bases; the audit record does not
+    ds, prov = small_iso
+    from dataclasses import replace
+
+    if edit.get("degree_sequence") == "zeros":
+        edit = {**edit, "degree_sequence": (0,) * len(prov.degree_sequence)}
+    assert not verify_provenance(ds, replace(prov, **edit))
+
+
 def _swap_first_permutations(doc):
     doc["permutations"][0], doc["permutations"][1] = doc["permutations"][1], doc["permutations"][0]
     return doc

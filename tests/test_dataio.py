@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pinet.dataio import Dataset, load_dataset, load_tu, save_dataset
+from pinet.dataio import Dataset, atomic_write, load_dataset, load_tu, save_dataset
 from pinet.errors import DataFormatError, DomainError, ShapeError
 from pinet.graph import LabeledGraph, graph_from_edges, pad_graph
 from pinet.tensor import Mat
@@ -183,6 +183,22 @@ def _toy_dataset():
         graph_from_edges(4, [(0, 1), (2, 3)], label=1),
     ]
     return Dataset("toy", tuple(gs), class_count=2, label_map={0: 0, 1: 1})
+
+
+def test_atomic_write_replaces_only_on_success(tmp_path):
+    path = tmp_path / "out.txt"
+    with atomic_write(path) as fh:
+        fh.write("first\n")
+    with pytest.raises(KeyboardInterrupt):
+        with atomic_write(path) as fh:
+            fh.write("partial")
+            raise KeyboardInterrupt
+    assert path.read_text() == "first\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    with atomic_write(path) as fh:
+        fh.write("second\n")
+    assert path.read_text() == "second\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 def test_save_load_round_trip(tmp_path):

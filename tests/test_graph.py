@@ -142,19 +142,21 @@ def test_propagation_domain_checks():
             propagation_matrix(a, bad, 0.0)
         with pytest.raises(DomainError):
             propagation_matrix(a, 0.0, bad)
+    with pytest.raises(DomainError):  # 3 + (1-3)*2 < 0 on the triangle
+        propagation_matrix(a, Mat.scalar(3.0), 0.0)
 
 
 def test_propagation_accepts_tracked_scalars():
-    from pinet.tensor import Tape, backward, sum_all
+    # tracked 1x1 p and q are read by value; the reference stays off the tape
+    from pinet.tensor import Tape
 
     a = _triangle().adjacency
     tape = Tape()
-    p = tape.leaf(Mat.scalar(0.5), "p")
-    q = tape.leaf(Mat.scalar(0.5), "q")
+    p = tape.leaf(Mat.scalar(0.3), "p")
+    q = tape.leaf(Mat.scalar(0.7), "q")
     out = propagation_matrix(a, p, q)
-    grads = backward(tape, sum_all(out))
-    assert "p" in grads and "q" in grads
-    assert np.isfinite(grads["p"].data).all()
+    assert not out.is_tracked and len(tape) == 2
+    np.testing.assert_array_equal(out.data, propagation_matrix(a, 0.3, 0.7).data)
 
 
 # -- permutations -------------------------------------------------------------

@@ -179,3 +179,18 @@ def test_csv_sweep_schema(tmp_path):
 def test_csv_rejects_ragged_rows(tmp_path):
     with pytest.raises(DomainError):
         write_results_csv([{"a": 1}, {"b": 2}], tmp_path / "bad.csv")
+
+
+def test_csv_failed_write_keeps_previous_file(tmp_path):
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("cannot format")
+
+    path = tmp_path / "iso.csv"
+    write_results_csv([{"a": 1}], path)
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        # the header and first row are written before the second row raises
+        write_results_csv([{"a": 2}, {"a": Unprintable()}], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["iso.csv"]

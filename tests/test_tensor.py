@@ -14,28 +14,25 @@ from pinet.errors import DegenerateMaskError, DomainError, ShapeError, TapeError
 from pinet.tensor import (
     Mat,
     Tape,
-    add,
     attention_pool,
     attention_softmax,
     backward,
-    col_scale,
     cross_entropy,
     grad_check,
-    hadamard,
     matmul,
     propagate,
     relu,
-    row_scale,
-    rsqrt_or_zero,
-    scale,
     softmax_rows,
-    sum_all,
-    transpose,
 )
 
 
 def _close(m: Mat, expected, tol=1e-12):
     np.testing.assert_allclose(m.data, np.asarray(expected, dtype=float), atol=tol)
+
+
+def _total(m: Mat) -> Mat:
+    """Sum of all entries as a 1x1 matrix, built from matmul alone."""
+    return matmul(matmul(Mat(np.ones((1, m.rows))), m), Mat(np.ones((m.cols, 1))))
 
 
 # -- Mat basics ---------------------------------------------------------------
@@ -75,26 +72,16 @@ def test_mat_promotes_low_rank_and_rejects_high():
 
 
 def test_mat_constructors():
-    _close(Mat.eye(3), np.eye(3))
     _close(Mat.zeros(2, 3), np.zeros((2, 3)))
-    _close(Mat.ones(1, 4), np.ones((1, 4)))
     s = Mat.scalar(2.5)
     assert s.shape == (1, 1) and s.item() == 2.5
-
-
-def test_mat_operators():
-    a = Mat([[1.0, 2.0], [3.0, 4.0]])
-    b = Mat.eye(2)
-    _close(a @ b, a.data)
-    _close(a + b, a.data + np.eye(2))
-    _close(a - b, a.data - np.eye(2))
 
 
 # -- forward values -----------------------------------------------------------
 
 def test_matmul_identity():
     a = Mat(np.arange(9, dtype=float).reshape(3, 3))
-    _close(matmul(Mat.eye(3), a), a.data)
+    _close(matmul(Mat(np.eye(3)), a), a.data)
 
 
 def test_matmul_zero():
@@ -114,44 +101,11 @@ def test_matmul_shape_mismatch():
         matmul(Mat.zeros(2, 3), Mat.zeros(2, 3))
 
 
-def test_transpose_involution():
-    a = Mat(np.random.default_rng(1).normal(size=(3, 5)))
-    _close(transpose(transpose(a)), a.data)
-    _close(transpose(Mat.eye(4)), np.eye(4))
-    _close(transpose(Mat([[1.0, 2.0, 3.0]])), [[1], [2], [3]])
-
-
 def test_relu_values():
     _close(relu(Mat([[-1.0, 2.0], [0.0, -3.0]])), [[0, 2], [0, 0]])
     a = Mat(np.random.default_rng(2).normal(size=(4, 4)))
     _close(relu(relu(a)), relu(a).data)
     _close(relu(Mat([[-5.0, -0.1]])), [[0, 0]])
-
-
-def test_add_sub_scale_hadamard():
-    a = Mat([[1.0, -2.0]])
-    b = Mat([[3.0, 4.0]])
-    _close(add(a, b), [[4, 2]])
-    _close(scale(a, -2.0), [[-2, 4]])
-    _close(scale(a, Mat.scalar(0.5)), [[0.5, -1]])
-    _close(hadamard(a, b), [[3, -8]])
-
-
-def test_row_col_scale():
-    a = Mat([[1.0, 2.0], [3.0, 4.0]])
-    s = Mat([[2.0], [10.0]])
-    _close(row_scale(a, s), [[2, 4], [30, 40]])
-    _close(col_scale(a, transpose(s)), [[2, 20], [6, 40]])
-
-
-def test_rsqrt_or_zero():
-    _close(rsqrt_or_zero(Mat([[4.0], [0.0], [1.0]])), [[0.5], [0.0], [1.0]])
-    with pytest.raises(DomainError):
-        rsqrt_or_zero(Mat([[-1.0]]))
-
-
-def test_sum_all():
-    assert sum_all(Mat([[1.0, 2.0], [3.0, 4.0]])).item() == 10.0
 
 
 # -- softmax ------------------------------------------------------------------
@@ -200,17 +154,33 @@ def test_attention_softmax_sums_to_one_under_mask():
 def test_propagate_rejects_bad_stacks():
     adj = np.zeros((2, 3, 3))
     adj[0, 0, 1] = adj[0, 1, 0] = 1.0
-    h = Mat.ones(6, 2)
+    h = Mat(np.ones((6, 2)))
     with pytest.raises(ShapeError):
         propagate(adj[0], h, 0.5, 0.5)  # not a B x N x N stack
     with pytest.raises(ShapeError):
-        propagate(adj, Mat.ones(5, 2), 0.5, 0.5)
+        propagate(adj, Mat(np.ones((5, 2))), 0.5, 0.5)
     with pytest.raises(DomainError):
         propagate(adj, h, 1.5, 0.5)
     lopsided = adj.copy()
     lopsided[1, 2, 0] = 1.0
     with pytest.raises(DomainError):
         propagate(lopsided, h, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("arg", [2, 3], ids=["p", "q"])
+def test_fused_layer_check_catches_detached_pq(monkeypatch, arg):
+    # propagate with p (or q) read by value but kept off the tape has the
+    # right output; only the closed-form gradient oracle can tell
+    from pinet import selfcheck
+
+    def detached(*args):
+        args = list(args)
+        args[arg] = Mat.scalar(args[arg].item())
+        return propagate(*args)
+
+    monkeypatch.setattr(selfcheck, "propagate", detached)
+    res = selfcheck.check_fused_layer()
+    assert len(res.failures) == res.cases
 
 
 def test_attention_pool_zero_weight_on_padding():
@@ -230,12 +200,12 @@ def test_attention_pool_zero_weight_on_padding():
 def test_grad_check_attention_pool():
     rng = np.random.default_rng(9)
     mask = np.array([[True, False, True, True], [True, True, False, False]])
-    y = Mat(rng.normal(size=(2, 6)))
+    y = Mat(np.eye(6)[[4, 1]])
     for axis in ("nodes", "features"):
         params = {"pre": Mat(rng.normal(size=(8, 2))), "z": Mat(rng.normal(size=(8, 3)))}
 
         def f(p):
-            return sum_all(hadamard(attention_pool(p["pre"], p["z"], mask, axis), y))
+            return cross_entropy(softmax_rows(attention_pool(p["pre"], p["z"], mask, axis)), y)
 
         report = grad_check(f, params, step=1e-5, tol=1e-6)
         assert report.ok, report.failures[:3]
@@ -274,14 +244,14 @@ def test_cross_entropy_rejects_bad_rows():
 def test_backward_sum_is_ones():
     tape = Tape()
     w = tape.leaf(Mat([[1.0, 2.0], [3.0, 4.0]]), "w")
-    grads = backward(tape, sum_all(w))
+    grads = backward(tape, _total(w))
     _close(grads["w"], np.ones((2, 2)))
 
 
 def test_backward_dead_relu_zero_gradient():
     tape = Tape()
     w = tape.leaf(Mat([[1.0, 2.0]]), "w")
-    loss = sum_all(relu(scale(w, -1.0)))
+    loss = _total(relu(matmul(Mat([[-1.0]]), w)))
     grads = backward(tape, loss)
     _close(grads["w"], np.zeros((1, 2)))
 
@@ -293,7 +263,7 @@ def test_backward_matmul_chain():
     tape = Tape()
     a = tape.leaf(Mat(a0), "a")
     b = tape.leaf(Mat(b0), "b")
-    grads = backward(tape, sum_all(matmul(a, b)))
+    grads = backward(tape, _total(matmul(a, b)))
     _close(grads["a"], np.ones((2, 2)) @ b0.T)
     _close(grads["b"], a0.T @ np.ones((2, 2)))
 
@@ -302,42 +272,42 @@ def test_backward_missing_dependency_absent():
     tape = Tape()
     used = tape.leaf(Mat([[2.0]]), "used")
     tape.leaf(Mat([[5.0]]), "unused")
-    grads = backward(tape, sum_all(used))
+    grads = backward(tape, _total(used))
     assert "unused" not in grads
 
 
 def test_backward_requires_scalar_root():
     tape = Tape()
-    w = tape.leaf(Mat.ones(2, 2), "w")
+    w = tape.leaf(Mat(np.ones((2, 2))), "w")
     with pytest.raises(TapeError):
         backward(tape, relu(w))
 
 
 def test_backward_rejects_foreign_root():
     tape = Tape()
-    tape.leaf(Mat.ones(1, 1), "w")
-    other = sum_all(Mat.ones(2, 2))
+    tape.leaf(Mat.scalar(1.0), "w")
+    other = _total(Mat(np.ones((2, 2))))
     with pytest.raises(TapeError):
         backward(tape, other)
 
 
 def test_duplicate_leaf_name_rejected():
     tape = Tape()
-    tape.leaf(Mat.ones(1, 1), "w")
+    tape.leaf(Mat.scalar(1.0), "w")
     with pytest.raises(TapeError):
         tape.leaf(Mat.zeros(1, 1), "w")
 
 
 def test_mixing_tapes_rejected():
     t1, t2 = Tape(), Tape()
-    a = t1.leaf(Mat.ones(2, 2), "a")
-    b = t2.leaf(Mat.ones(2, 2), "b")
+    a = t1.leaf(Mat(np.ones((2, 2))), "a")
+    b = t2.leaf(Mat(np.ones((2, 2))), "b")
     with pytest.raises(TapeError):
-        add(a, b)
+        matmul(a, b)
 
 
 def test_untracked_ops_stay_untracked():
-    out = matmul(Mat.ones(2, 2), Mat.ones(2, 2))
+    out = matmul(Mat(np.ones((2, 2))), Mat(np.ones((2, 2))))
     assert not out.is_tracked
 
 
@@ -345,7 +315,7 @@ def test_untracked_ops_stay_untracked():
 
 def test_grad_check_quadratic():
     def f(p):
-        return hadamard(p["x"], p["x"])
+        return matmul(p["x"], p["x"])
 
     report = grad_check(f, {"x": Mat.scalar(3.0)}, step=1e-6, tol=1e-8)
     assert report.ok
@@ -355,16 +325,17 @@ def test_grad_check_quadratic():
 def test_grad_check_three_layer_composition():
     rng = np.random.default_rng(5)
     x0 = Mat(rng.normal(size=(4, 3)))
+    y = Mat(np.eye(2)[[0, 1, 1, 0]])
     params = {
         "w1": Mat(rng.normal(size=(3, 6))),
-        "w2": Mat(rng.normal(size=(6, 2))),
-        "b": Mat(rng.normal(size=(4, 2))),
+        "w2": Mat(rng.normal(size=(6, 5))),
+        "w3": Mat(rng.normal(size=(5, 2))),
     }
 
     def f(p):
         h = relu(matmul(x0, p["w1"]))
-        out = add(matmul(h, p["w2"]), p["b"])
-        return sum_all(hadamard(out, out))
+        out = matmul(relu(matmul(h, p["w2"])), p["w3"])
+        return cross_entropy(softmax_rows(out), y)
 
     report = grad_check(f, params, step=1e-5, tol=1e-4)
     assert report.ok, report.failures[:3]
@@ -382,25 +353,11 @@ def test_grad_check_softmax_cross_entropy():
     assert report.ok, report.failures[:3]
 
 
-def test_grad_check_propagation_pieces():
-    # rsqrt and row/col scaling all feed the propagation matrix
-    rng = np.random.default_rng(7)
-    a0 = Mat(rng.random((3, 3)) + 0.5)
-    params = {"s": Mat(rng.random((3, 1)) + 1.0), "w": Mat(rng.normal(size=(3, 2)))}
-
-    def f(p):
-        scaled = col_scale(row_scale(a0, rsqrt_or_zero(p["s"])), transpose(p["s"]))
-        return sum_all(matmul(scaled, p["w"]))
-
-    report = grad_check(f, params, step=1e-5, tol=1e-4)
-    assert report.ok, report.failures[:3]
-
-
 def test_grad_check_reports_deliberate_mismatch():
-    # scale by 2 in f but compare against leaf gradients of scale by 2,
+    # multiply by 2 in f and compare against leaf gradients of the same,
     # then corrupt the analytic side by checking a different function
     def f_wrong(p):
-        return scale(sum_all(p["x"]), 2.0)
+        return matmul(p["x"], Mat.scalar(2.0))
 
     report = grad_check(f_wrong, {"x": Mat.scalar(1.0)}, step=1e-6, tol=1e-8)
     assert report.ok  # sanity: matching function passes
@@ -411,8 +368,8 @@ def test_grad_check_reports_deliberate_mismatch():
         # returns x^2 on the tracked call, x on numeric probes
         calls["n"] += 1
         if calls["n"] == 1:
-            return hadamard(p["x"], p["x"])
-        return scale(p["x"], 1.0)
+            return matmul(p["x"], p["x"])
+        return p["x"]
 
     report = grad_check(f_inconsistent, {"x": Mat.scalar(3.0)}, step=1e-6, tol=1e-4)
     assert not report.ok
