@@ -26,6 +26,7 @@ from .errors import (
     DegenerateMaskError,
     DomainError,
     GenerationError,
+    NumericalError,
     ShapeError,
     TapeError,
     TrainingError,

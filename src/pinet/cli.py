@@ -21,6 +21,7 @@ from .errors import (
     DataFormatError,
     DomainError,
     GenerationError,
+    NumericalError,
     ShapeError,
     TapeError,
     TrainingError,
@@ -360,7 +361,7 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 1
-    except (GenerationError, TrainingError, TapeError) as e:
+    except (GenerationError, NumericalError, TrainingError, TapeError) as e:
         print(f"runtime failure: {e}", file=sys.stderr)
         return 2
 

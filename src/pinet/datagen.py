@@ -18,7 +18,8 @@ import numpy as np
 
 from .dataio import Dataset, _is_int, atomic_write
 from .errors import DataFormatError, DomainError, GenerationError
-from .graph import LabeledGraph, Permutation, graph_from_edges, permute_graph, random_permutation
+from .graph import (LabeledGraph, Permutation, edges_of, graph_from_edges, permute_graph,
+                    random_permutation)
 
 ER_RETRY_CAP = 10_000
 BASE_RETRY_CAP = 100
@@ -113,8 +114,7 @@ def sample_er_connected(n: int, edge_prob: float, seed) -> LabeledGraph:
         upper = np.triu(rng.random((n, n)) < edge_prob, k=1)
         adj = (upper | upper.T).astype(float)
         if _is_connected(adj):
-            edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(upper))]
-            return graph_from_edges(n, edges)
+            return graph_from_edges(n, np.argwhere(upper))
     raise GenerationError(
         f"no connected sample in {ER_RETRY_CAP} attempts (n={n}, edge_prob={edge_prob}); "
         "edge_prob is likely too small"
@@ -183,13 +183,6 @@ def graph_from_degree_sequence(s: DegreeSequence, seed) -> LabeledGraph:
     return g
 
 
-def _edges_of(g: LabeledGraph) -> tuple[tuple[int, int], ...]:
-    a = g.adjacency.data
-    return tuple(
-        (int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(a, k=1)))
-    )
-
-
 @dataclass(frozen=True)
 class IsoProvenance:
     """Everything needed to replay or audit a generated dataset: the
@@ -246,9 +239,9 @@ def generate_iso_dataset(params: GenParams) -> tuple[Dataset, IsoProvenance]:
     )
     prov = IsoProvenance(
         params=params,
-        seed_edges=_edges_of(seed_graph),
+        seed_edges=edges_of(seed_graph),
         degree_sequence=seq.degrees,
-        base_edges=tuple(_edges_of(b) for b in bases),
+        base_edges=tuple(edges_of(b) for b in bases),
         permutations=tuple(perms),
         copy_classes=tuple(classes),
     )

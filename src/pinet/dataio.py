@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, DomainError, ShapeError
-from .graph import LabeledGraph
+from .graph import LabeledGraph, edges_of, graph_from_edges
 from .tensor import Mat
 
 
@@ -204,10 +204,6 @@ def load_tu(dir_path, dataset_name: str) -> Dataset:
         d = len(nl_values)
 
     n_pad = max(counts)
-    adj = [np.zeros((n_pad, n_pad)) for _ in range(n_graphs)]
-    for gi in range(n_graphs):
-        for lu, lv in edges[gi]:
-            adj[gi][lu, lv] = adj[gi][lv, lu] = 1.0
     feats = [np.zeros((n_pad, d)) for _ in range(n_graphs)]
     if node_label_idx is None:
         for gi in range(n_graphs):
@@ -217,12 +213,8 @@ def load_tu(dir_path, dataset_name: str) -> Dataset:
             feats[node_graph[node]][node_local[node], node_label_idx[node]] = 1.0
 
     graphs = tuple(
-        LabeledGraph(
-            n_real=counts[gi],
-            adjacency=Mat(adj[gi]),
-            features=Mat(feats[gi]),
-            label=label_map[raw_labels[gi]],
-        )
+        graph_from_edges(n_pad, list(edges[gi]), label_map[raw_labels[gi]],
+                         Mat(feats[gi]), counts[gi])
         for gi in range(n_graphs)
     )
     return Dataset(
@@ -277,13 +269,10 @@ def save_dataset(ds: Dataset, path):
     with atomic_write(path) as fh:
         fh.write(json.dumps(header) + "\n")
         for g in ds.graphs:
-            a = g.adjacency.data
             rec = {
                 "n_real": g.n_real,
                 "label": g.label,
-                "edges": [
-                    [int(u), int(v)] for u, v in zip(*np.nonzero(np.triu(a, k=1)))
-                ],
+                "edges": edges_of(g),
                 "features": g.features.data[:g.n_real].tolist(),
             }
             fh.write(json.dumps(rec) + "\n")
@@ -318,10 +307,10 @@ def load_dataset(path) -> Dataset:
                 f"header field {name!r} must be {kind}", path=str(path), line=1
             )
     n_pad, d = header["n_pad"], header["d"]
-    # Every record is checked before any n_pad-sized array is allocated,
-    # so no count in the file can ask for more memory than its data
-    # implies: n_real must match the feature rows, and n_pad the largest
-    # n_real.
+    # Every record's counts are checked before any n_pad-sized array is
+    # allocated, so no count in the file can ask for more memory than its
+    # data implies: n_real must match the feature rows, and n_pad the
+    # largest n_real. `graph_from_edges` checks the edges as it builds.
     records = []
     for i, text in enumerate(lines[1:], start=2):
         if not text.strip():
@@ -339,41 +328,28 @@ def load_dataset(path) -> Dataset:
                     f"features must be {n_real} rows of finite values", path=str(path), line=i
                 )
             x = x.reshape(n_real, d)
-            edges = np.asarray(rec["edges"])
-            if not edges.size:
-                edges = np.zeros((0, 2), dtype=np.int64)
-            if edges.dtype.kind != "i" or edges.ndim != 2 or edges.shape[1] != 2:
-                raise DataFormatError(
-                    "edges must be a list of [u, v] integer pairs", path=str(path), line=i
-                )
-            u, v = edges.T
-            bad = (u < 0) | (v < 0) | (u >= n_real) | (v >= n_real) | (u == v)
-            if bad.any():
-                k = int(bad.argmax())
-                raise DataFormatError(
-                    f"invalid edge ({u[k]},{v[k]}) for n_real={n_real}",
-                    path=str(path), line=i,
-                )
+            edges = np.asarray(rec["edges"])  # held compactly until the graphs are built
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             if isinstance(e, DataFormatError):
                 raise
             raise DataFormatError(
                 f"malformed graph record ({e})", path=str(path), line=i
             ) from None
-        records.append((n_real, label, u, v, x))
-    largest = max((r[0] for r in records), default=n_pad)
+        records.append((i, n_real, label, edges, x))
+    largest = max((r[1] for r in records), default=n_pad)
     if largest != n_pad:
         raise DataFormatError(
             f"header field 'n_pad' must equal the largest n_real, {largest}",
             path=str(path), line=1,
         )
     graphs = []
-    for n_real, label, u, v, x in records:
-        a = np.zeros((n_pad, n_pad))
-        a[u, v] = a[v, u] = 1.0
+    for i, n_real, label, edges, x in records:
         xp = np.zeros((n_pad, d))
         xp[:n_real] = x
-        graphs.append(LabeledGraph(n_real, Mat(a), Mat(xp), label))
+        try:
+            graphs.append(graph_from_edges(n_pad, edges, label, Mat(xp), n_real))
+        except DomainError as e:
+            raise DataFormatError(str(e), path=str(path), line=i) from None
     try:
         return Dataset(
             name=header["name"],

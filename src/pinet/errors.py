@@ -17,6 +17,10 @@ class TapeError(RuntimeError):
     """A differentiation request violates the tape contract."""
 
 
+class NumericalError(RuntimeError):
+    """A computation on finite inputs produced NaN or Inf."""
+
+
 class GenerationError(RuntimeError):
     """Random graph generation failed to produce a valid sample."""
 

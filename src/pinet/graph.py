@@ -1,7 +1,8 @@
 """Graph data model: padded adjacency/feature pairs and node relabelling.
 
 A graph is a symmetric {0,1} adjacency matrix plus a node-feature matrix,
-both zero-padded to a shared size N so that batches stack cleanly. The
+both zero-padded to a size N; `make_batch` pads the graphs of a batch
+to its largest N and stacks them for one forward pass. The
 message-passing operator built here interpolates between the raw
 adjacency and its symmetrically degree-normalised form, with a self-loop
 weight, controlled by two scalars p and q in [0, 1].
@@ -96,22 +97,43 @@ def graph_from_edges(
 ) -> LabeledGraph:
     """Build a graph from an undirected edge list over nodes [0, n).
 
-    Self-loops are rejected. Features default to an all-ones column on
-    the real nodes (zero on padding).
+    `edges` is a k x 2 integer array or a sequence of integer pairs;
+    anything else, a node outside [0, n_real) or a self-loop raises
+    DomainError. Features default to an all-ones column on the real
+    nodes (zero on padding).
     """
     n_real = n if n_real is None else n_real
+    if not 0 <= n_real <= n:
+        raise DomainError(f"n_real={n_real} outside [0, {n}]")
+    try:
+        e = np.asarray(edges)
+    except ValueError:  # ragged nesting
+        raise DomainError("edges must be a list of [u, v] integer pairs") from None
+    if not e.size:
+        e = np.zeros((0, 2), dtype=np.int64)
+    if e.dtype.kind not in "iu" or e.ndim != 2 or e.shape[1] != 2:
+        raise DomainError("edges must be a list of [u, v] integer pairs")
+    u, v = e.T
+    outside = (u < 0) | (v < 0) | (u >= n_real) | (v >= n_real)
+    if outside.any():
+        k = int(outside.argmax())
+        raise DomainError(f"edge ({u[k]},{v[k]}) outside real node range [0,{n_real})")
+    loops = u == v
+    if loops.any():
+        raise DomainError(f"self-loop at node {u[loops.argmax()]}")
     a = np.zeros((n, n))
-    for u, v in edges:
-        if not (0 <= u < n_real and 0 <= v < n_real):
-            raise DomainError(f"edge ({u},{v}) outside real node range [0,{n_real})")
-        if u == v:
-            raise DomainError(f"self-loop at node {u}")
-        a[u, v] = a[v, u] = 1.0
+    a[u, v] = a[v, u] = 1.0
     if features is None:
         x = np.zeros((n, 1))
         x[:n_real, 0] = 1.0
         features = Mat(x)
     return LabeledGraph(n_real, Mat(a), features, label)
+
+
+def edges_of(g: LabeledGraph) -> tuple[tuple[int, int], ...]:
+    """The graph's undirected edges as (u, v) pairs with u < v, in
+    row-major order; `graph_from_edges` rebuilds the adjacency from them."""
+    return tuple(map(tuple, np.argwhere(np.triu(g.adjacency.data, k=1)).tolist()))
 
 
 class Permutation:
@@ -190,30 +212,47 @@ def pad_graph(g: LabeledGraph, n_target: int) -> LabeledGraph:
 
 @dataclass(frozen=True, eq=False)
 class Batch:
-    """Graphs sharing N and d, with one-hot labels."""
+    """Graphs sharing d, stacked for one forward pass.
+
+    N is the largest `g.n` in the batch. Graph b's adjacency is
+    `adj[b]`, its features rows b*N..(b+1)*N-1 of `x` and its node mask
+    `mask[b]`, each holding the graph in its leading g.n positions and
+    zero (False) beyond them.
+    """
 
     graphs: tuple[LabeledGraph, ...]
     labels: Mat  # B x C one-hot
+    adj: np.ndarray  # B x N x N
+    x: Mat  # (B*N) x d
+    mask: np.ndarray  # B x N
 
     def __len__(self) -> int:
         return len(self.graphs)
 
 
 def make_batch(graphs, class_count: int) -> Batch:
+    """Stack graphs of any sizes and one feature width d, padding each
+    to the largest N, with one-hot labels over `class_count` classes."""
     graphs = tuple(graphs)
     if not graphs:
         raise DomainError("batch must contain at least one graph")
-    n, d = graphs[0].n, graphs[0].d
-    onehot = np.zeros((len(graphs), class_count))
+    b, n, d = len(graphs), max(g.n for g in graphs), graphs[0].d
+    onehot = np.zeros((b, class_count))
+    adj = np.zeros((b, n, n))
+    x = np.zeros((b, n, d))
+    mask = np.zeros((b, n), dtype=bool)
     for i, g in enumerate(graphs):
-        if g.n != n or g.d != d:
-            raise ShapeError(
-                f"graph {i} has shape N={g.n},d={g.d}, expected N={n},d={d}"
-            )
+        if g.d != d:
+            raise ShapeError(f"graph {i} has d={g.d}, expected d={d}")
         if g.label >= class_count:
             raise DomainError(f"graph {i} label {g.label} >= class count {class_count}")
         onehot[i, g.label] = 1.0
-    return Batch(graphs, Mat(onehot))
+        adj[i, :g.n, :g.n] = g.adjacency.data
+        x[i, :g.n] = g.features.data
+        mask[i, :g.n] = g.node_mask
+    adj.setflags(write=False)
+    mask.setflags(write=False)
+    return Batch(graphs, Mat(onehot), adj, Mat(x.reshape(b * n, d)), mask)
 
 
 def propagation_matrix(a: Mat, p, q) -> Mat:
@@ -241,9 +280,7 @@ def propagation_matrix(a: Mat, p, q) -> Mat:
         raise DomainError("adjacency must be symmetric")
     pv, qv = _pq_scalar(p, "p").item(), _pq_scalar(q, "q").item()
 
-    mixed = pv + (1.0 - pv) * ad.sum(axis=1, keepdims=True)
-    if (mixed < 0).any():
-        raise DomainError("p + (1-p)*deg must be non-negative")
+    mixed = pv + (1.0 - pv) * ad.sum(axis=1, keepdims=True)  # >= 0: p in [0, 1], deg >= 0
     pos = mixed > 0
     s = np.zeros_like(mixed)  # N x 1 column of diagonal scale factors
     s[pos] = mixed[pos] ** -0.5

@@ -7,12 +7,13 @@ graph representation, which a dense layer maps to class probabilities.
 Every message-passing layer owns its own (p, q) pair controlling the
 propagation matrix, trainable alongside the weights.
 
-All entry points run the same code over a stack of graphs sharing N:
-the node states of B graphs form one (B*N) x F matrix (graph b in rows
-b*N..(b+1)*N-1), each layer is one `tensor.propagate` op over the whole
-stack, and `tensor.attention_pool` pools every graph at once. A
+All entry points run the same code over a stack that
+`graph.make_batch` builds, every graph padded to the batch's largest
+N: the node states of B graphs form one (B*N) x F matrix (graph b in
+rows b*N..(b+1)*N-1), each layer is one `tensor.propagate` op over the
+whole stack, and `tensor.attention_pool` pools every graph at once. A
 training batch is one stack; `forward` is a stack of one; `evaluate`
-scores stacks of graphs grouped by N. The propagation matrix At(p, q)
+scores stacks of consecutive graphs. The propagation matrix At(p, q)
 is never built here; `graph.propagation_matrix` builds it as the
 reference implementation.
 """
@@ -26,7 +27,7 @@ import numpy as np
 
 from .dataio import atomic_write
 from .errors import DataFormatError, DomainError, ShapeError
-from .graph import Batch, LabeledGraph
+from .graph import Batch, LabeledGraph, make_batch
 from .tensor import (
     Mat,
     Tape,
@@ -134,36 +135,25 @@ def init_params(config: PiNetConfig) -> PiNetParams:
     return PiNetParams(values, config)
 
 
-def _stack(graphs, params: PiNetParams) -> tuple[np.ndarray, Mat, np.ndarray]:
-    """B x N x N adjacency, (B*N) x d features and B x N mask of graphs
-    sharing N and the model's feature width d; graph b holds rows
-    b*N..(b+1)*N-1 of the features."""
-    n, d = graphs[0].n, params.config.d
-    for i, g in enumerate(graphs):
-        if g.n != n or g.d != d:
-            raise ShapeError(f"graph {i} has N={g.n}, d={g.d}; expected N={n}, model d={d}")
-    adj = np.stack([g.adjacency.data for g in graphs])
-    x = Mat(np.concatenate([g.features.data for g in graphs]))
-    return adj, x, np.stack([g.node_mask for g in graphs])
-
-
-def _tower_stack(adj: np.ndarray, x: Mat, params: PiNetParams, kind: str) -> Mat:
+def _tower_stack(batch: Batch, params: PiNetParams, kind: str) -> Mat:
     """Two message-passing layers over a stack: relu(At1 @ relu(At0 @ X @
     W0) @ W1), without the outer relu for the attention tower (its
     nonlinearity is the attention softmax). The first layer propagates X
     before the weight product: (At0 @ X) @ W0 costs N*N*d per graph
     instead of N*N*F0, and the two orders agree up to rounding."""
-    p = params.values
-    h = relu(matmul(propagate(adj, x, p[f"p_{kind}0"], p[f"q_{kind}0"]), p[f"w_{kind}0"]))
+    p, adj = params.values, batch.adj
+    h = relu(matmul(propagate(adj, batch.x, p[f"p_{kind}0"], p[f"q_{kind}0"]), p[f"w_{kind}0"]))
     out = propagate(adj, matmul(h, p[f"w_{kind}1"]), p[f"p_{kind}1"], p[f"q_{kind}1"])
     return relu(out) if kind == "x" else out
 
 
-def _probs(adj: np.ndarray, x: Mat, mask: np.ndarray, params: PiNetParams) -> Mat:
+def _probs(batch: Batch, params: PiNetParams) -> Mat:
     """B x C class probabilities for a stack, one row per graph."""
-    z_x = _tower_stack(adj, x, params, "x")
-    pre = _tower_stack(adj, x, params, "a")
-    pooled = attention_pool(pre, z_x, mask, params.config.attention_axis)
+    if batch.x.cols != params.config.d:
+        raise ShapeError(f"graphs have d={batch.x.cols}, model d={params.config.d}")
+    z_x = _tower_stack(batch, params, "x")
+    pre = _tower_stack(batch, params, "a")
+    pooled = attention_pool(pre, z_x, batch.mask, params.config.attention_axis)
     return softmax_rows(matmul(pooled, params.values["w_d"]))
 
 
@@ -173,8 +163,7 @@ def forward_features(g: LabeledGraph, params: PiNetParams) -> Mat:
     Padded-node rows are zero: their input features are zero and the
     propagation matrix gives them no cross-node entries.
     """
-    adj, x, _ = _stack([g], params)
-    return _tower_stack(adj, x, params, "x")
+    return _tower_stack(make_batch([g], params.config.C), params, "x")
 
 
 def forward_attention(g: LabeledGraph, params: PiNetParams) -> Mat:
@@ -185,33 +174,28 @@ def forward_attention(g: LabeledGraph, params: PiNetParams) -> Mat:
     normalised over the F1 feature positions and padded columns are then
     zeroed. Either way padded-node columns are exactly 0.
     """
-    adj, x, m = _stack([g], params)
-    pre = _tower_stack(adj, x, params, "a").data
-    att = attention_softmax(pre.reshape(1, g.n, -1), m, params.config.attention_axis)
+    batch = make_batch([g], params.config.C)
+    pre = _tower_stack(batch, params, "a").data
+    att = attention_softmax(pre.reshape(1, g.n, -1), batch.mask, params.config.attention_axis)
     return Mat(att[0].T)
 
 
 def forward(g: LabeledGraph, params: PiNetParams) -> Mat:
     """Class probability row (1 x C) for one graph."""
-    return _probs(*_stack([g], params), params)
+    return _probs(make_batch([g], params.config.C), params)
 
 
 def loss_batch(batch: Batch, params: PiNetParams) -> Mat:
     """Cross-entropy summed over the batch (1x1), from one forward pass
     over the whole batch."""
-    if len(batch) == 0:
-        raise DomainError("loss_batch needs a non-empty batch")
-    probs = _probs(*_stack(batch.graphs, params), params)
-    return cross_entropy(probs, batch.labels)
+    return cross_entropy(_probs(batch, params), batch.labels)
 
 
 def predict_classes(params: PiNetParams, graphs) -> np.ndarray:
-    """Argmax class per graph of a list sharing N and d, from one forward
-    pass; ties break toward the lowest index."""
-    graphs = list(graphs)
-    if not graphs:
-        raise DomainError("predict_classes needs at least one graph")
-    return np.argmax(_probs(*_stack(graphs, params), params).data, axis=1)
+    """Argmax class per graph, from one forward pass over graphs of one
+    feature width d and any sizes; ties break toward the lowest index.
+    A label at or above the model's class count raises DomainError."""
+    return np.argmax(_probs(make_batch(graphs, params.config.C), params).data, axis=1)
 
 
 def predict_class(params: PiNetParams, g: LabeledGraph) -> int:

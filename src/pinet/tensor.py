@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateMaskError, DomainError, ShapeError, TapeError
+from .errors import DegenerateMaskError, DomainError, NumericalError, ShapeError, TapeError
 
 CROSS_ENTROPY_EPS = 1e-12
 
@@ -41,8 +41,9 @@ class Mat:
     """Immutable dense matrix of 64-bit floats in row-major layout.
 
     Every public operation validates that the result is finite, so NaN
-    or Inf entries surface at the operation that produced them instead
-    of corrupting downstream state.
+    or Inf entries surface at the operation that produced them, as
+    NumericalError, instead of corrupting downstream state. Building a
+    Mat from non-finite data raises DomainError.
     """
 
     __slots__ = ("_a", "_tape", "_nid")
@@ -51,6 +52,8 @@ class Mat:
         # Private copy: constructing a Mat never locks or aliases the
         # caller's buffer.
         a = np.array(data, dtype=np.float64, order="C")
+        if not np.isfinite(a).all():
+            raise DomainError("Mat entries must be finite (no NaN/Inf)")
         self._init_from(a)
 
     def _init_from(self, a: np.ndarray):
@@ -60,8 +63,6 @@ class Mat:
             a = a.reshape(1, -1)
         elif a.ndim != 2:
             raise ShapeError(f"Mat requires 2-D data, got {a.ndim}-D")
-        if not np.isfinite(a).all():
-            raise DomainError("Mat entries must be finite (no NaN/Inf)")
         if a.flags.writeable:
             a.setflags(write=False)
         self._a = a
@@ -72,8 +73,11 @@ class Mat:
     def _adopt(cls, arr) -> "Mat":
         """Zero-copy wrap of a freshly computed array the caller owns
         (or a read-only view of another Mat's storage)."""
+        a = np.ascontiguousarray(arr, dtype=np.float64)
+        if not np.isfinite(a).all():
+            raise NumericalError("an operation produced NaN or Inf entries")
         m = cls.__new__(cls)
-        m._init_from(np.ascontiguousarray(arr, dtype=np.float64))
+        m._init_from(a)
         return m
 
     @property
@@ -108,7 +112,7 @@ class Mat:
 
     @staticmethod
     def scalar(x: float) -> "Mat":
-        return Mat._adopt(np.array([[float(x)]]))
+        return Mat([[float(x)]])
 
     def __repr__(self) -> str:
         tag = " tracked" if self.is_tracked else ""
@@ -216,11 +220,11 @@ def softmax_rows(a: Mat) -> Mat:
 
 
 def _pq_scalar(v, name: str) -> Mat:
-    if isinstance(v, (int, float)) and not 0.0 <= v <= 1.0:
-        raise DomainError(f"{name}={v} outside [0, 1]")
     m = as_mat(v)
     if m.shape != (1, 1):
         raise ShapeError(f"{name} must be a scalar or 1x1, got {m.rows}x{m.cols}")
+    if not 0.0 <= m.data[0, 0] <= 1.0:
+        raise DomainError(f"{name}={m.data[0, 0]} outside [0, 1]")
     return m
 
 
@@ -406,7 +410,7 @@ def backward(tape: Tape, loss: Mat) -> dict[str, Mat]:
         if g is None:
             continue
         if not np.isfinite(g).all():
-            raise DomainError(f"gradient for leaf {name!r} is not finite")
+            raise NumericalError(f"gradient for leaf {name!r} is not finite")
         out[name] = Mat(g)
     return out
 

@@ -127,20 +127,17 @@ def fit(
 def evaluate(params: PiNetParams, graphs) -> float:
     """Fraction of graphs whose argmax prediction matches the label.
 
-    Graphs are grouped by padded size N and scored EVAL_CHUNK at a time,
-    one forward pass per chunk; ties break toward the lowest class."""
+    Graphs are scored EVAL_CHUNK at a time in input order, one forward
+    pass per chunk padded to its largest N; ties break toward the lowest
+    class."""
     graphs = list(graphs)
     if not graphs:
         raise DomainError("evaluate needs a non-empty dataset")
-    by_n: dict[int, list] = {}
-    for g in graphs:
-        by_n.setdefault(g.n, []).append(g)
     hits = 0
-    for group in by_n.values():
-        for start in range(0, len(group), EVAL_CHUNK):
-            chunk = group[start:start + EVAL_CHUNK]
-            preds = predict_classes(params, chunk)
-            hits += sum(int(c) == g.label for c, g in zip(preds, chunk))
+    for start in range(0, len(graphs), EVAL_CHUNK):
+        chunk = graphs[start:start + EVAL_CHUNK]
+        preds = predict_classes(params, chunk)
+        hits += sum(int(c) == g.label for c, g in zip(preds, chunk))
     return hits / len(graphs)
 
 

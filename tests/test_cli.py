@@ -141,6 +141,21 @@ def test_train_malformed_header_exits_one(capsys, tmp_path):
     assert err.startswith("error:") and str(data) in err
 
 
+def test_train_numeric_blow_up_exits_two(capsys, tmp_path):
+    # a learning rate this large overflows the next forward pass: a runtime
+    # failure of the computation, not bad input
+    data = tmp_path / "iso.jsonl"
+    code, _, _ = _run(capsys, ["gen-iso", "--nodes", "12", "--classes", "3", "--copies", "6",
+                               "--seed", "3", "--out", str(data)])
+    assert code == 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, err = _run(capsys, ["train", "--data", str(data), "--epochs", "5",
+                                     "--batch-size", "6", "--f0", "8", "--f1", "4",
+                                     "--lr", "1e300"])
+    assert code == 2
+    assert err.startswith("runtime failure:")
+
+
 # -- cv ---------------------------------------------------------------------------
 
 def test_cv_two_folds_on_toy_set(capsys, tmp_path):

@@ -13,6 +13,7 @@ from pinet.graph import (
     Batch,
     LabeledGraph,
     Permutation,
+    edges_of,
     graph_from_edges,
     make_batch,
     pad_graph,
@@ -73,6 +74,27 @@ def test_graph_rejects_nonzero_padding():
 def test_graph_rejects_out_of_range_edges():
     with pytest.raises(DomainError):
         graph_from_edges(3, [(0, 5)])
+    with pytest.raises(DomainError):  # inside n_real but outside the padded size
+        graph_from_edges(3, [(0, 4)], n_real=5)
+
+
+@pytest.mark.parametrize("edges", [[(0.0, 1.0)], [(True, False)], [(0, 1, 2)], [(0, 1), (1,)]],
+                         ids=["float", "bool", "triple", "ragged"])
+def test_graph_rejects_malformed_edges(edges):
+    with pytest.raises(DomainError):
+        graph_from_edges(3, edges)
+
+
+def test_edges_of_round_trips():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 7, 12):
+        upper = np.triu(rng.random((n, n)) < 0.4, k=1)
+        g = graph_from_edges(n + 2, np.argwhere(upper), n_real=n)
+        edges = edges_of(g)
+        assert all(u < v for u, v in edges) and list(edges) == sorted(edges)
+        for again in (graph_from_edges(n + 2, edges, n_real=n),
+                      graph_from_edges(n + 2, np.array(edges, dtype=np.int64), n_real=n)):
+            np.testing.assert_array_equal(again.adjacency.data, g.adjacency.data)
 
 
 def test_graph_square_check():
@@ -142,8 +164,21 @@ def test_propagation_domain_checks():
             propagation_matrix(a, bad, 0.0)
         with pytest.raises(DomainError):
             propagation_matrix(a, 0.0, bad)
-    with pytest.raises(DomainError):  # 3 + (1-3)*2 < 0 on the triangle
+    with pytest.raises(DomainError):  # would give 3 + (1-3)*2 < 0 on the triangle
         propagation_matrix(a, Mat.scalar(3.0), 0.0)
+
+
+def test_propagation_checks_matrix_pq_by_value():
+    from pinet.tensor import Tape
+
+    a = _path3().adjacency
+    tape = Tape()
+    with pytest.raises(DomainError):
+        propagation_matrix(a, Mat.scalar(1.5), Mat.scalar(-3.0))
+    with pytest.raises(DomainError):
+        propagation_matrix(a, tape.leaf(Mat.scalar(0.5), "p"), tape.leaf(Mat.scalar(1.5), "q"))
+    inside = propagation_matrix(a, tape.leaf(Mat.scalar(0.5), "p2"), tape.leaf(Mat.scalar(0.5), "q2"))
+    np.testing.assert_array_equal(inside.data, propagation_matrix(a, 0.5, 0.5).data)
 
 
 def test_propagation_accepts_tracked_scalars():
@@ -270,9 +305,28 @@ def test_batch_two_graphs_labels():
     np.testing.assert_array_equal(b.labels.data, [[0.0, 1.0], [1.0, 0.0]])
 
 
-def test_batch_requires_shared_size():
+def test_batch_pads_to_largest_size():
+    # graphs of N = 3, 5 and 6 (padding moved off the leading block) in one
+    # stack give each graph's own loss and prediction
+    from pinet.model import PiNetConfig, init_params, loss_batch, predict_class, predict_classes
+
+    moved = permute_graph(pad_graph(_triangle(), 6), Permutation((5, 0, 3, 1, 2, 4)))
+    graphs = [_path3(), pad_graph(graph_from_edges(4, [(0, 1), (1, 2), (2, 3)], label=1), 5),
+              moved]
+    b = make_batch(graphs, class_count=2)
+    assert b.adj.shape == (3, 6, 6) and b.x.shape == (18, 1) and b.mask.shape == (3, 6)
+    np.testing.assert_array_equal(b.mask.sum(axis=1), [3, 4, 3])
+    for axis in ("nodes", "features"):
+        params = init_params(PiNetConfig(d=1, C=2, F0=5, F1=4, attention_axis=axis, seed=2))
+        singles = sum(loss_batch(make_batch([g], 2), params).item() for g in graphs)
+        assert abs(loss_batch(b, params).item() - singles) <= 1e-9
+        assert list(predict_classes(params, graphs)) == [predict_class(params, g) for g in graphs]
+
+
+def test_batch_requires_shared_width():
+    wide = graph_from_edges(3, [(0, 1)], features=Mat(np.ones((3, 2))))
     with pytest.raises(ShapeError):
-        make_batch([_triangle(), pad_graph(_triangle(), 5)], class_count=2)
+        make_batch([_triangle(), wide], class_count=2)
 
 
 def test_batch_label_range_checked():

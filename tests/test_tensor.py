@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from pinet.errors import DegenerateMaskError, DomainError, ShapeError, TapeError
+from pinet.errors import DegenerateMaskError, DomainError, NumericalError, ShapeError, TapeError
 from pinet.tensor import (
     Mat,
     Tape,
@@ -165,6 +165,39 @@ def test_propagate_rejects_bad_stacks():
     lopsided[1, 2, 0] = 1.0
     with pytest.raises(DomainError):
         propagate(lopsided, h, 0.5, 0.5)
+
+
+def test_propagate_checks_matrix_pq_by_value():
+    adj = np.zeros((1, 3, 3))
+    adj[0, 0, 1] = adj[0, 1, 0] = 1.0
+    h = Mat(np.ones((3, 2)))
+    with pytest.raises(DomainError):
+        propagate(adj, h, Mat.scalar(2.0), Mat.scalar(-1.0))
+    tape = Tape()
+    with pytest.raises(DomainError):
+        propagate(adj, h, tape.leaf(Mat.scalar(1.5), "p"), 0.5)
+    out = propagate(adj, h, tape.leaf(Mat.scalar(0.5), "p2"), tape.leaf(Mat.scalar(0.5), "q2"))
+    np.testing.assert_array_equal(out.data, propagate(adj, h, 0.5, 0.5).data)
+
+
+def test_non_finite_result_is_a_numerical_error():
+    # non-finite data put into a Mat is bad input; an op that overflows on
+    # finite operands, tracked or not, is a failure of the computation
+    with pytest.raises(DomainError):
+        Mat([[np.inf]])
+    with pytest.raises(DomainError):
+        Mat.scalar(float("nan"))
+    big = Mat([[1e200]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError):
+            matmul(big, big)
+        with pytest.raises(NumericalError):
+            matmul(Tape().leaf(big, "w"), big)
+        tape = Tape()  # finite forward, overflowing gradient: 1e100 * 1e300
+        loss = matmul(matmul(tape.leaf(Mat([[1e-200]]), "a"), Mat([[1e300]])), Mat([[1e100]]))
+        with pytest.raises(NumericalError):
+            backward(tape, loss)
+    assert not issubclass(NumericalError, DomainError)
 
 
 @pytest.mark.parametrize("arg", [2, 3], ids=["p", "q"])
