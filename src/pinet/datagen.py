@@ -10,14 +10,13 @@ class apart is exactly graph isomorphism.
 
 from __future__ import annotations
 
-import json
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .dataio import Dataset, _is_int, atomic_write
-from .errors import DataFormatError, DomainError, GenerationError
+from .dataio import Dataset, _check_int_fields, _is_int, read_document, write_document
+from .errors import DomainError, GenerationError
 from .graph import (LabeledGraph, Permutation, edges_of, graph_from_edges, permute_graph,
                     random_permutation)
 
@@ -34,12 +33,7 @@ class GenParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_nodes < 2:
-            raise DomainError("n_nodes must be >= 2")
-        if self.classes < 2:
-            raise DomainError("classes must be >= 2")
-        if self.copies < 1:
-            raise DomainError("copies must be >= 1")
+        _check_int_fields(self, n_nodes=2, classes=2, copies=1, seed=0)
         if not 0.0 < self.edge_prob < 1.0:
             raise DomainError(f"edge_prob must lie in (0, 1), got {self.edge_prob}")
 
@@ -273,104 +267,62 @@ PROVENANCE_FORMAT = "pinet-provenance-v1"
 
 
 def save_provenance(prov: IsoProvenance, path):
-    doc = {
-        "format": PROVENANCE_FORMAT,
-        "params": {
-            "n_nodes": prov.params.n_nodes,
-            "classes": prov.params.classes,
-            "copies": prov.params.copies,
-            "edge_prob": prov.params.edge_prob,
-            "seed": prov.params.seed,
-        },
+    write_document(path, PROVENANCE_FORMAT, {
+        "params": asdict(prov.params),
         "seed_edges": [list(e) for e in prov.seed_edges],
         "degree_sequence": list(prov.degree_sequence),
         "base_edges": [[list(e) for e in edges] for edges in prov.base_edges],
         "permutations": [list(p) for p in prov.permutations],
         "copy_classes": list(prov.copy_classes),
-    }
-    with atomic_write(path) as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    })
 
 
-def _is_index(v, n: int) -> bool:
-    return _is_int(v, 0) and v < n
-
-
-def _edge_list(v, n: int):
-    """A stored edge list as tuples, or None unless every entry is a
-    pair of distinct node indices in [0, n)."""
-    if not isinstance(v, list) or not all(
-        isinstance(e, list) and len(e) == 2 and e[0] != e[1]
-        and _is_index(e[0], n) and _is_index(e[1], n)
-        for e in v
-    ):
-        return None
-    return tuple((e[0], e[1]) for e in v)
-
-
-def _is_permutation(v, n: int) -> bool:
-    return (isinstance(v, list) and len(v) == n and all(_is_index(i, n) for i in v)
-            and len(set(v)) == n)
+def _index(v, bound: int) -> int:
+    if not _is_int(v, 0, bound):
+        raise DomainError(f"{v!r} is not an index in [0, {bound})")
+    return v
 
 
 def load_provenance(path) -> IsoProvenance:
-    """Read a file written by `save_provenance`. A malformed document,
-    an edge or permutation outside the stored node count, or a copy
-    whose class has no base graph raises DataFormatError naming the path
-    and the entry."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as e:
-            raise DataFormatError("not a valid provenance file", path=str(path)) from e
-    fmt = doc.get("format") if isinstance(doc, dict) else None
-    if fmt != PROVENANCE_FORMAT:
-        raise DataFormatError(f"unsupported provenance format {fmt!r}", path=str(path))
+    """Read a file written by `save_provenance`, checking each entry
+    where its rule lives: the document in `dataio.read_document`,
+    `params` in `GenParams`, edge lists in `graph_from_edges` (returned
+    in `edges_of` order), permutations in `Permutation`. A missing or
+    malformed entry raises DataFormatError naming the path and entry."""
+    doc, bad = read_document(path, PROVENANCE_FORMAT, "provenance")
 
-    def bad(entry: str, why: str) -> DataFormatError:
-        return DataFormatError(f"provenance entry {entry!r} {why}", path=str(path))
-
-    for entry in ("params", "seed_edges", "degree_sequence", "base_edges",
-                  "permutations", "copy_classes"):
+    def checked(entry: str, build, per_item: bool = False):
         if entry not in doc:
             raise bad(entry, "is missing")
-    raw = doc["params"]
-    if not isinstance(raw, dict) or not all(
-        _is_int(v, 0) for k, v in raw.items() if k in ("n_nodes", "classes", "copies", "seed")
-    ):
-        raise bad("params", "must be an object with non-negative integer n_nodes, "
-                            "classes, copies and seed")
-    try:
-        params = GenParams(**raw)
-    except (TypeError, DomainError) as e:
-        raise bad("params", f"is invalid ({e})") from None
+        value = doc[entry]
+        try:
+            if not per_item:
+                return build(value)
+            if not isinstance(value, list):
+                raise DomainError("must be a list")
+            return tuple(map(build, value))
+        except (TypeError, DomainError) as e:
+            raise bad(entry, f"is invalid ({e})") from None
+
+    params = checked("params", lambda raw: GenParams(**raw))
     n, classes = params.n_nodes, params.classes
-    seed_edges = _edge_list(doc["seed_edges"], n)
-    if seed_edges is None:
-        raise bad("seed_edges", f"must be a list of [u, v] pairs of distinct nodes in [0, {n})")
-    degrees = doc["degree_sequence"]
-    if not (isinstance(degrees, list) and len(degrees) == n
-            and all(_is_index(x, n) for x in degrees)):
-        raise bad("degree_sequence", f"must be a list of {n} degrees in [0, {n})")
-    bases = doc["base_edges"]
-    bases = [_edge_list(e, n) for e in bases] if isinstance(bases, list) else [None]
-    if len(bases) != classes or None in bases:
-        raise bad("base_edges", f"must be {classes} lists of [u, v] pairs of distinct "
-                                f"nodes in [0, {n})")
-    perms = doc["permutations"]
-    if not (isinstance(perms, list) and all(_is_permutation(p, n) for p in perms)):
-        raise bad("permutations", f"must be a list of permutations of [0, {n})")
-    copy_classes = doc["copy_classes"]
-    if not (isinstance(copy_classes, list) and len(copy_classes) == len(perms)
-            and all(_is_index(c, classes) for c in copy_classes)):
-        raise bad("copy_classes", f"must be a list of {len(perms)} classes, each in "
-                                  f"[0, {classes}) with a base graph")
-    return IsoProvenance(
-        params=params,
-        seed_edges=seed_edges,
-        degree_sequence=tuple(degrees),
-        base_edges=tuple(bases),
-        permutations=tuple(tuple(p) for p in perms),
-        copy_classes=tuple(copy_classes),
-    )
+    # n x n graphs are built only once n degrees have been read, so their
+    # size follows from data in the file, not from a bare count in params
+    degrees = checked("degree_sequence", lambda d: _index(d, n), per_item=True)
+    if len(degrees) != n:
+        raise bad("degree_sequence", f"must hold {n} degrees, one per node")
+
+    def edges(v):
+        return edges_of(graph_from_edges(n, v))
+
+    seed_edges = checked("seed_edges", edges)
+    bases = checked("base_edges", edges, per_item=True)
+    if len(bases) != classes:
+        raise bad("base_edges", f"must hold {classes} edge lists, one per class")
+    perms = checked("permutations", lambda p: Permutation(p).mapping, per_item=True)
+    if any(len(p) != n for p in perms):
+        raise bad("permutations", f"must be permutations of [0, {n})")
+    copy_classes = checked("copy_classes", lambda c: _index(c, classes), per_item=True)
+    if len(copy_classes) != len(perms):
+        raise bad("copy_classes", f"must hold {len(perms)} classes, one per permutation")
+    return IsoProvenance(params, seed_edges, degrees, bases, perms, copy_classes)

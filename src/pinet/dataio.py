@@ -4,12 +4,16 @@ The public molecule benchmarks ship as plain text: an edge file of
 1-indexed global node pairs, a node-to-graph indicator file, a graph
 label file, and optionally a node label file. `load_tu` reads that
 layout. Internally datasets persist as line-delimited JSON, one graph
-per line under a header record.
+per line under a header record. Provenance sidecars and checkpoints
+are single JSON documents, written by `write_document` and read by
+`read_document`; `_is_int` is the one integer test of file entries and
+config fields.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -228,8 +232,47 @@ def load_tu(dir_path, dataset_name: str) -> Dataset:
 DATASET_FORMAT = "pinet-dataset-v1"
 
 
-def _is_int(v, low: int | None = None) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and (low is None or v >= low)
+def _is_int(v, low: int | None = None, high: int | None = None) -> bool:
+    """An integer, Python or numpy but not bool, in [low, high)."""
+    return (isinstance(v, numbers.Integral) and not isinstance(v, bool)
+            and (low is None or v >= low) and (high is None or v < high))
+
+
+def _check_int_fields(obj, **lows: int):
+    """Type-check a config dataclass's integer fields against their low
+    bounds, storing numpy integers back as (JSON-serialisable) ints."""
+    for name, low in lows.items():
+        v = getattr(obj, name)
+        if not _is_int(v, low):
+            raise DomainError(f"{name} must be an integer >= {low}, got {v!r}")
+        object.__setattr__(obj, name, int(v))
+
+
+def write_document(path, fmt: str, body: dict):
+    """Atomically write `body` as the JSON object `read_document` reads,
+    its "format" entry `fmt` first."""
+    with atomic_write(path) as fh:
+        json.dump({"format": fmt, **body}, fh)
+        fh.write("\n")
+
+
+def read_document(path, fmt: str, what: str):
+    """Parse the JSON object at `path` whose "format" is `fmt`, or raise
+    DataFormatError with the path. Returns the document and `bad(entry,
+    why)`, which builds the DataFormatError naming the entry and path."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as e:
+            raise DataFormatError(f"not a valid {what} file", path=str(path)) from e
+    found = doc.get("format") if isinstance(doc, dict) else None
+    if found != fmt:
+        raise DataFormatError(f"unsupported {what} format {found!r}", path=str(path))
+
+    def bad(entry: str, why: str) -> DataFormatError:
+        return DataFormatError(f"{what} entry {entry!r} {why}", path=str(path))
+
+    return doc, bad
 
 
 # header field -> (what it must hold, test of its value)

@@ -11,6 +11,7 @@ weight, controlled by two scalars p and q in [0, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -88,6 +89,21 @@ class LabeledGraph:
         return self.features.cols
 
 
+def _int_array(values, what: str) -> np.ndarray:
+    """`values` (up to 2-D) as an integer array, else DomainError(`what`):
+    no floats, strings, ragged nesting or bools, even among ints, which
+    numpy would promote. An empty input passes whatever its dtype."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise DomainError(what) from None
+    entries = values if a.ndim == 1 else chain.from_iterable(values) if a.ndim == 2 else ()
+    if a.size and (a.dtype.kind not in "iu"
+                   or not isinstance(values, np.ndarray) and bool in map(type, entries)):
+        raise DomainError(what)
+    return a
+
+
 def graph_from_edges(
     n: int,
     edges,
@@ -98,21 +114,20 @@ def graph_from_edges(
     """Build a graph from an undirected edge list over nodes [0, n).
 
     `edges` is a k x 2 integer array or a sequence of integer pairs;
-    anything else, a node outside [0, n_real) or a self-loop raises
-    DomainError. Features default to an all-ones column on the real
+    anything else (floats, strings, bools, rows that are not pairs), a
+    node outside [0, n_real) or a self-loop raises DomainError. This is
+    the one check of an edge list, for every loader. Features default to an all-ones column on the real
     nodes (zero on padding).
     """
     n_real = n if n_real is None else n_real
     if not 0 <= n_real <= n:
         raise DomainError(f"n_real={n_real} outside [0, {n}]")
-    try:
-        e = np.asarray(edges)
-    except ValueError:  # ragged nesting
-        raise DomainError("edges must be a list of [u, v] integer pairs") from None
+    not_pairs = "edges must be a list of [u, v] integer pairs"
+    e = _int_array(edges, not_pairs)
     if not e.size:
         e = np.zeros((0, 2), dtype=np.int64)
-    if e.dtype.kind not in "iu" or e.ndim != 2 or e.shape[1] != 2:
-        raise DomainError("edges must be a list of [u, v] integer pairs")
+    if e.ndim != 2 or e.shape[1] != 2:
+        raise DomainError(not_pairs)
     u, v = e.T
     outside = (u < 0) | (v < 0) | (u >= n_real) | (v >= n_real)
     if outside.any():
@@ -137,15 +152,18 @@ def edges_of(g: LabeledGraph) -> tuple[tuple[int, int], ...]:
 
 
 class Permutation:
-    """Bijection on [0, n): node v is relabelled to mapping[v]."""
+    """Bijection on [0, n): node v is relabelled to mapping[v]. The one
+    check of a permutation; entries follow `graph_from_edges`' integer
+    rule, so bools, floats and numeric strings raise DomainError."""
 
     __slots__ = ("mapping",)
 
     def __init__(self, mapping):
-        m = tuple(int(i) for i in mapping)
-        if sorted(m) != list(range(len(m))):
-            raise DomainError("permutation must be a bijection on [0, n)")
-        self.mapping = m
+        what = "permutation must be a bijection on [0, n) given as integers"
+        m = _int_array(mapping, what)
+        if m.ndim != 1 or not np.array_equal(np.sort(m), np.arange(m.size)):
+            raise DomainError(what)
+        self.mapping = tuple(m.tolist())
 
     def __len__(self) -> int:
         return len(self.mapping)

@@ -20,13 +20,12 @@ reference implementation.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataio import atomic_write
-from .errors import DataFormatError, DomainError, ShapeError
+from .dataio import _check_int_fields, read_document, write_document
+from .errors import DomainError, ShapeError
 from .graph import Batch, LabeledGraph, make_batch
 from .tensor import (
     Mat,
@@ -57,14 +56,20 @@ class PiNetConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.d, self.C, self.F0, self.F1) < 1:
-            raise DomainError("d, C, F0, F1 must all be >= 1")
+        _check_int_fields(self, d=1, C=1, F0=1, F1=1, seed=0)
         if self.attention_axis not in ("nodes", "features"):
             raise DomainError(f"attention_axis must be nodes|features, got {self.attention_axis!r}")
         if self.pq_mode not in ("learned", "fixed"):
             raise DomainError(f"pq_mode must be learned|fixed, got {self.pq_mode!r}")
         if not (0.0 <= self.fixed_p <= 1.0 and 0.0 <= self.fixed_q <= 1.0):
             raise DomainError("fixed p, q must lie in [0, 1]")
+
+    def weight_shapes(self) -> dict[str, tuple[int, int]]:
+        """Shape of each weight matrix, in `init_params`' draw order; the
+        one table of them, which `load_params` checks a checkpoint by."""
+        d, c, f0, f1 = self.d, self.C, self.F0, self.F1
+        return {"w_x0": (d, f0), "w_x1": (f0, f1), "w_a0": (d, f0), "w_a1": (f0, f1),
+                "w_d": (f1 * f1, c)}
 
 
 @dataclass(frozen=True)
@@ -118,14 +123,7 @@ def init_params(config: PiNetConfig) -> PiNetParams:
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         return Mat(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
 
-    d, c, f0, f1 = config.d, config.C, config.F0, config.F1
-    values: dict[str, Mat] = {
-        "w_x0": glorot(d, f0),
-        "w_x1": glorot(f0, f1),
-        "w_a0": glorot(d, f0),
-        "w_a1": glorot(f0, f1),
-        "w_d": glorot(f1 * f1, c),
-    }
+    values = {k: glorot(*shape) for k, shape in config.weight_shapes().items()}
     if config.pq_mode == "learned":
         p0 = q0 = 0.5
     else:
@@ -228,14 +226,8 @@ CHECKPOINT_FORMAT = "pinet-checkpoint-v1"
 def save_params(params: PiNetParams, path):
     """Write a JSON checkpoint; floats serialise at full precision, so a
     load restores bit-identical values."""
-    cfg = params.config
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "config": {
-            "d": cfg.d, "C": cfg.C, "F0": cfg.F0, "F1": cfg.F1,
-            "attention_axis": cfg.attention_axis, "pq_mode": cfg.pq_mode,
-            "fixed_p": cfg.fixed_p, "fixed_q": cfg.fixed_q, "seed": cfg.seed,
-        },
+    write_document(path, CHECKPOINT_FORMAT, {
+        "config": asdict(params.config),
         "weights": {
             k: {
                 "rows": params.values[k].rows,
@@ -245,48 +237,30 @@ def save_params(params: PiNetParams, path):
             for k in WEIGHT_NAMES
         },
         "pq": {k: params.values[k].item() for k in PQ_NAMES},
-    }
-    with atomic_write(path) as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    })
 
 
 def load_params(path) -> PiNetParams:
-    """Read a checkpoint written by `save_params`. A malformed document,
-    a weight whose shape disagrees with the config, or a p or q outside
-    [0, 1] raises DataFormatError naming the path and the entry."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as e:
-            raise DataFormatError("not a valid checkpoint", path=str(path)) from e
-    fmt = doc.get("format") if isinstance(doc, dict) else None
-    if fmt != CHECKPOINT_FORMAT:
-        raise DataFormatError(f"unsupported checkpoint format {fmt!r}", path=str(path))
-
-    def bad(entry: str, why: str) -> DataFormatError:
-        return DataFormatError(f"checkpoint entry {entry!r} {why}", path=str(path))
-
+    """Read a checkpoint written by `save_params`. `dataio.read_document`
+    reads the document, `PiNetConfig` checks the config and its
+    `weight_shapes` each weight's shape; a malformed entry or a p or q
+    outside [0, 1] raises DataFormatError naming the path and the entry."""
+    doc, bad = read_document(path, CHECKPOINT_FORMAT, "checkpoint")
     try:
         config = PiNetConfig(**doc["config"])
     except KeyError:
         raise bad("config", "is missing") from None
     except (TypeError, DomainError) as e:
         raise bad("config", f"is invalid ({e})") from None
-    d, c, f0, f1 = config.d, config.C, config.F0, config.F1
-    shapes = {"w_x0": (d, f0), "w_x1": (f0, f1), "w_a0": (d, f0), "w_a1": (f0, f1),
-              "w_d": (f1 * f1, c)}
     values: dict[str, Mat] = {}
-    for k, shape in shapes.items():
+    for k, shape in config.weight_shapes().items():
         try:
             w = doc["weights"][k]
             if (w["rows"], w["cols"]) != shape:
-                raise bad(f"weights.{k}", f"must be {shape[0]}x{shape[1]} for the config, "
-                                          f"got {w['rows']}x{w['cols']}")
+                raise DomainError(f"must be {shape[0]}x{shape[1]} for the config, "
+                                  f"got {w['rows']}x{w['cols']}")
             values[k] = Mat(np.array(w["data"], dtype=np.float64).reshape(shape))
         except (KeyError, TypeError, ValueError, OverflowError) as e:
-            if isinstance(e, DataFormatError):
-                raise
             raise bad(f"weights.{k}", f"is malformed ({e})") from None
     for k in PQ_NAMES:
         try:

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .dataio import _check_int_fields
 from .errors import DomainError, TrainingError
 from .graph import make_batch
 from .model import PiNetConfig, PiNetParams, clamp_pq, grads_batch, init_params, predict_classes
@@ -37,8 +38,7 @@ class TrainConfig:
             raise DomainError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}"
             )
-        if self.batch_size < 1 or self.epochs < 1:
-            raise DomainError("batch_size and epochs must be >= 1")
+        _check_int_fields(self, batch_size=1, epochs=1, seed=0)
 
 
 @dataclass

@@ -150,6 +150,20 @@ def test_gen_params_validation():
         GenParams(edge_prob=1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_nodes", 6.0), ("copies", True), ("classes", "4"), ("seed", -1), ("seed", 1.5),
+])
+def test_gen_params_type_checks(field, value):
+    with pytest.raises(DomainError, match=field):
+        GenParams(**{field: value})
+
+
+def test_gen_params_accept_numpy_integers():
+    params = GenParams(n_nodes=np.int64(6), classes=np.int32(2), copies=np.uint8(1), seed=np.int64(3))
+    assert all(type(getattr(params, f)) is int for f in ("n_nodes", "classes", "copies", "seed"))
+    assert params == GenParams(n_nodes=6, classes=2, copies=1, seed=3)
+
+
 @pytest.fixture(scope="module")
 def small_iso():
     params = GenParams(n_nodes=12, classes=3, copies=4, edge_prob=0.3, seed=7)

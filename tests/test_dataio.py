@@ -1,13 +1,16 @@
-"""Tests for dataset containers, the benchmark text-format loader, and
-the line-delimited JSON dataset files."""
+"""Tests for dataset containers, the benchmark text-format loader, the
+line-delimited JSON dataset files, and the JSON documents (provenance
+and checkpoints) read through `read_document`."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pinet.dataio import Dataset, atomic_write, load_dataset, load_tu, save_dataset
+from pinet.datagen import GenParams, generate_iso_dataset, load_provenance, save_provenance
 from pinet.errors import DataFormatError, DomainError, ShapeError
 from pinet.graph import LabeledGraph, graph_from_edges, pad_graph
+from pinet.model import PiNetConfig, init_params, load_params, save_params
 from pinet.tensor import Mat
 
 
@@ -387,3 +390,64 @@ def test_fuzz_record_line(tmp_path, change):
     save_dataset(_toy_dataset(), path)
     _edited_line(path, 2, lambda rec: value if field is None else {**rec, field: value})
     _loads_or_names_path(path)
+
+
+# -- property tests of the JSON documents read through `read_document` ---------
+
+def _with_entry(doc, entry, value):
+    """`doc` with the entry at `entry` (a path of keys and list indices)
+    replaced by `value`; the empty path replaces the whole document."""
+    if not entry:
+        return value
+    out = doc.copy()
+    out[entry[0]] = _with_entry(doc[entry[0]], entry[1:], value)
+    return out
+
+
+def _fuzzed_document(tmp_path, save, entry, value):
+    import json
+
+    path = tmp_path / "fuzz.json"
+    save(path)
+    path.write_text(json.dumps(_with_entry(json.loads(path.read_text()), entry, value)))
+    return path
+
+
+_PROVENANCE_ENTRIES = [
+    (), ("format",), ("params",), ("seed_edges",), ("degree_sequence",), ("base_edges",),
+    ("permutations",), ("copy_classes",),
+    *[("params", f) for f in ("n_nodes", "classes", "copies", "edge_prob", "seed")],
+    ("seed_edges", 0), ("base_edges", 1), ("base_edges", 0, 2), ("degree_sequence", 3),
+    ("permutations", 4), ("permutations", 0, 5), ("copy_classes", 1),
+]
+
+
+@_fuzz
+@given(st.sampled_from(_PROVENANCE_ENTRIES), _json_values)
+def test_fuzz_provenance_entry(tmp_path, entry, value):
+    _, prov = generate_iso_dataset(GenParams(n_nodes=6, classes=2, copies=3, edge_prob=0.5, seed=1))
+    path = _fuzzed_document(tmp_path, lambda p: save_provenance(prov, p), entry, value)
+    try:
+        load_provenance(path)
+    except DataFormatError as e:
+        assert e.path == str(path)
+
+
+_CHECKPOINT_ENTRIES = [
+    (), ("format",), ("config",), ("weights",), ("pq",),
+    *[("config", f) for f in ("d", "C", "F0", "F1", "attention_axis", "pq_mode",
+                              "fixed_p", "fixed_q", "seed")],
+    ("weights", "w_x0"), ("weights", "w_x1", "rows"), ("weights", "w_a1", "cols"),
+    ("weights", "w_d", "data"), ("weights", "w_a0", "data", 0), ("pq", "p_x0"), ("pq", "q_a1"),
+]
+
+
+@_fuzz
+@given(st.sampled_from(_CHECKPOINT_ENTRIES), _json_values)
+def test_fuzz_checkpoint_entry(tmp_path, entry, value):
+    params = init_params(PiNetConfig(d=2, C=2, F0=3, F1=2))
+    path = _fuzzed_document(tmp_path, lambda p: save_params(params, p), entry, value)
+    try:
+        load_params(path)
+    except DataFormatError as e:
+        assert e.path == str(path)

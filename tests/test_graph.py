@@ -78,8 +78,9 @@ def test_graph_rejects_out_of_range_edges():
         graph_from_edges(3, [(0, 4)], n_real=5)
 
 
-@pytest.mark.parametrize("edges", [[(0.0, 1.0)], [(True, False)], [(0, 1, 2)], [(0, 1), (1,)]],
-                         ids=["float", "bool", "triple", "ragged"])
+@pytest.mark.parametrize("edges", [[(0.0, 1.0)], [(True, False)], [(True, 2)], [(0, 1, 2)],
+                                   [(0, 1), (1,)]],
+                         ids=["float", "bool", "bool-among-ints", "triple", "ragged"])
 def test_graph_rejects_malformed_edges(edges):
     with pytest.raises(DomainError):
         graph_from_edges(3, edges)
@@ -244,6 +245,28 @@ def test_permutation_matrix_action():
 def test_permutation_rejects_non_bijection():
     with pytest.raises(DomainError):
         Permutation((0, 0, 1))
+
+
+@pytest.mark.parametrize("mapping", [
+    [1.7, 0.2],
+    [True, False],
+    [True, 0, 2],  # numpy would read this as the integers 1, 0, 2
+    ["1", "0"],
+    [[1], [0]],
+    [[1, 0], [0]],
+    1,
+], ids=["float", "bool", "bool-among-ints", "numeric-string", "nested", "ragged", "scalar"])
+def test_permutation_rejects_non_integers(mapping):
+    with pytest.raises(DomainError):
+        Permutation(mapping)
+
+
+def test_permutation_accepts_numpy_integers():
+    for a in (np.array([2, 0, 1]), np.array([2, 0, 1], dtype=np.uint8), [np.int64(1), np.int64(0)]):
+        perm = Permutation(a)
+        assert perm.mapping == tuple(int(i) for i in a)
+        assert all(type(i) is int for i in perm.mapping)
+    assert Permutation([]).mapping == ()
 
 
 def test_random_permutation_n1():

@@ -74,6 +74,30 @@ def test_config_validation():
         _small_config(pq_mode="fixed", fixed_p=1.5)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("d", 1.0), ("C", True), ("F0", "8"), ("F1", 2.5), ("seed", -1), ("seed", 1.5),
+])
+def test_config_type_checks(field, value):
+    with pytest.raises(DomainError, match=field):
+        _small_config(**{field: value})
+
+
+def test_config_accepts_numpy_integers(tmp_path):
+    config = _small_config(d=np.int64(1), C=np.int32(3), seed=np.uint16(4))
+    assert (type(config.d), type(config.C), type(config.seed)) == (int, int, int)
+    save_params(init_params(config), tmp_path / "params.json")  # JSON needs Python ints
+    assert load_params(tmp_path / "params.json").config == config
+
+
+def test_weight_shapes_follow_the_config():
+    config = _small_config(d=2, C=3)
+    assert config.weight_shapes() == {
+        "w_x0": (2, 6), "w_x1": (6, 4), "w_a0": (2, 6), "w_a1": (6, 4), "w_d": (16, 3)}
+    params = init_params(config)
+    assert list(config.weight_shapes()) == list(WEIGHT_NAMES)
+    assert all(params[k].shape == s for k, s in config.weight_shapes().items())
+
+
 def test_init_learned_pq_is_half():
     params = init_params(_small_config())
     for name in PQ_NAMES:
@@ -357,3 +381,19 @@ def test_checkpoint_rejects_garbage(tmp_path):
     (tmp_path / "bad.json").write_text("{oops")
     with pytest.raises(DataFormatError):
         load_params(tmp_path / "bad.json")
+
+
+@pytest.mark.parametrize("seed", [1.5, -3, True])
+def test_checkpoint_rejects_bad_seed(tmp_path, seed):
+    import json
+
+    from pinet.errors import DataFormatError
+
+    path = tmp_path / "params.json"
+    save_params(init_params(_small_config()), path)
+    doc = json.loads(path.read_text())
+    doc["config"]["seed"] = seed
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match="'config'") as err:
+        load_params(path)
+    assert err.value.path == str(path)

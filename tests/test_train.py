@@ -132,6 +132,20 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 2.5), ("epochs", True), ("epochs", "3"), ("seed", -1), ("seed", 1.5),
+])
+def test_train_config_type_checks(field, value):
+    with pytest.raises(DomainError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_numpy_integers():
+    tc = TrainConfig(batch_size=np.int64(2), epochs=np.uint8(1), seed=np.int32(5))
+    assert (type(tc.batch_size), type(tc.epochs), type(tc.seed)) == (int, int, int)
+    assert tc == TrainConfig(batch_size=2, epochs=1, seed=5)
+
+
 # -- evaluate -----------------------------------------------------------------
 
 def test_evaluate_all_correct_is_one():
