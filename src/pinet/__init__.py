@@ -10,12 +10,10 @@ loader, training with cross-validation, and an experiment CLI.
 
 from .dataio import Dataset, load_dataset, load_tu, save_dataset
 from .datagen import (
-    DegreeSequence,
     GenParams,
     IsoProvenance,
     generate_iso_dataset,
     graph_from_degree_sequence,
-    is_graphical,
     load_provenance,
     sample_er_connected,
     save_provenance,
@@ -29,7 +27,6 @@ from .errors import (
     NumericalError,
     ShapeError,
     TapeError,
-    TrainingError,
 )
 from .graph import (
     Batch,
@@ -64,7 +61,7 @@ from .stats import (
     t_test_two_sample,
     write_results_csv,
 )
-from .tensor import Gradients, Mat, Tape, backward, grad_check
+from .tensor import Mat, Tape, backward, grad_check
 from .train import (
     AdamState,
     EvalReport,

@@ -24,8 +24,8 @@ from .errors import (
     NumericalError,
     ShapeError,
     TapeError,
-    TrainingError,
 )
+from .tensor import _pq_scalar
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,10 +72,10 @@ def _pq_spec(text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected 'learned' or 'P,Q', got {text!r}")
-    p, q = float(parts[0]), float(parts[1])
-    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-        raise argparse.ArgumentTypeError(f"p={p}, q={q} must lie in [0, 1]")
-    return (p, q)
+    try:
+        return tuple(_pq_scalar(float(x), name).item() for x, name in zip(parts, "pq"))
+    except DomainError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _sizes_list(text: str) -> list[int]:
@@ -361,7 +361,7 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 1
-    except (GenerationError, NumericalError, TrainingError, TapeError) as e:
+    except (GenerationError, NumericalError, TapeError) as e:
         print(f"runtime failure: {e}", file=sys.stderr)
         return 2
 

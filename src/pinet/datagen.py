@@ -15,10 +15,11 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .dataio import Dataset, _check_int_fields, _is_int, read_document, write_document
+from .dataio import (Dataset, _check_int_fields, _is_int, _real_field, read_document,
+                     write_document)
 from .errors import DomainError, GenerationError
-from .graph import (LabeledGraph, Permutation, edges_of, graph_from_edges, permute_graph,
-                    random_permutation)
+from .graph import (LabeledGraph, Permutation, _int_array, edges_of, graph_from_edges,
+                    permute_graph, random_permutation)
 
 ER_RETRY_CAP = 10_000
 BASE_RETRY_CAP = 100
@@ -34,48 +35,13 @@ class GenParams:
 
     def __post_init__(self):
         _check_int_fields(self, n_nodes=2, classes=2, copies=1, seed=0)
-        if not 0.0 < self.edge_prob < 1.0:
+        if not 0.0 < _real_field(self, "edge_prob") < 1.0:
             raise DomainError(f"edge_prob must lie in (0, 1), got {self.edge_prob}")
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
-    degrees: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(d < 0 for d in self.degrees):
-            raise DomainError("degrees must be non-negative")
-        if sum(self.degrees) % 2 != 0:
-            raise DomainError("degree sum must be even")
-        if not is_graphical(self.degrees):
-            raise DomainError("degree sequence is not graphical")
-
-    def __len__(self) -> int:
-        return len(self.degrees)
-
-
-def is_graphical(degrees) -> bool:
-    """Erdős–Gallai test: non-negative, even sum, and for every k,
-    sum of the k largest degrees <= k(k-1) + sum of min(d_i, k) over the
-    rest."""
-    d = sorted((int(x) for x in degrees), reverse=True)
-    n = len(d)
-    if n == 0:
-        return True
-    if d[0] >= n or d[-1] < 0 or sum(d) % 2 != 0:
-        return False
-    prefix = 0
-    for k in range(1, n + 1):
-        prefix += d[k - 1]
-        tail = sum(min(x, k) for x in d[k:])
-        if prefix > k * (k - 1) + tail:
-            return False
-    return True
-
-
-def degree_sequence_of(g: LabeledGraph) -> DegreeSequence:
-    degs = g.adjacency.data.sum(axis=1)[g.node_mask]
-    return DegreeSequence(tuple(int(x) for x in degs))
+def degree_sequence_of(g: LabeledGraph) -> tuple[int, ...]:
+    """Degrees of the real nodes, in node order."""
+    return tuple(g.adjacency.data.sum(axis=1)[g.node_mask].astype(int).tolist())
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -117,8 +83,10 @@ def sample_er_connected(n: int, edge_prob: float, seed) -> LabeledGraph:
 
 def _havel_hakimi(degrees: tuple[int, ...]) -> set[tuple[int, int]]:
     """Deterministic realisation: repeatedly connect the highest-degree
-    node to the next-highest ones."""
-    remaining = [[int(d), v] for v, d in enumerate(degrees)]
+    node to the next-highest ones. The one graphicality test: a
+    non-negative sequence that no simple graph realises raises
+    DomainError."""
+    remaining = [[d, v] for v, d in enumerate(degrees)]
     edges: set[tuple[int, int]] = set()
     for _ in range(len(remaining)):
         remaining.sort(key=lambda t: (-t[0], t[1]))
@@ -137,17 +105,21 @@ def _havel_hakimi(degrees: tuple[int, ...]) -> set[tuple[int, int]]:
     return edges
 
 
-def graph_from_degree_sequence(s: DegreeSequence, seed) -> LabeledGraph:
-    """Simple graph realising `s` exactly: a deterministic realisation
-    randomised by 10*|E| attempted double-edge swaps. A swap replaces
-    edges (a,b),(c,d) by (a,d),(c,b) or (a,c),(b,d); attempts that would
-    produce a self-loop or duplicate edge are rejected. Degrees are
-    preserved by every accepted swap; the realised graph's degrees are
-    checked once at the end."""
-    if not isinstance(s, DegreeSequence):
-        s = DegreeSequence(tuple(int(x) for x in s))
+def graph_from_degree_sequence(degrees, seed) -> LabeledGraph:
+    """Simple graph realising `degrees` (non-negative integers, else
+    DomainError) exactly: a deterministic realisation randomised by
+    10*|E| attempted double-edge swaps. A swap replaces edges (a,b),(c,d)
+    by (a,d),(c,b) or (a,c),(b,d); attempts that would produce a
+    self-loop or duplicate edge are rejected. Degrees are preserved by
+    every accepted swap; the realised graph's degrees are checked once at
+    the end."""
+    what = "degrees must be a sequence of non-negative integers"
+    d = _int_array(degrees, what)
+    if d.ndim != 1 or (d < 0).any():
+        raise DomainError(what)
+    degrees = tuple(d.tolist())
     rng = _as_rng(seed)
-    edge_set = _havel_hakimi(s.degrees)
+    edge_set = _havel_hakimi(degrees)
     edges = sorted(edge_set)
     n_swaps = 10 * len(edges)
     for _ in range(n_swaps):
@@ -171,8 +143,8 @@ def graph_from_degree_sequence(s: DegreeSequence, seed) -> LabeledGraph:
         edge_set.add(e1)
         edge_set.add(e2)
         edges[i], edges[j] = e1, e2
-    g = graph_from_edges(len(s), sorted(edge_set))
-    if degree_sequence_of(g).degrees != s.degrees:
+    g = graph_from_edges(len(degrees), sorted(edge_set))
+    if degree_sequence_of(g) != degrees:
         raise GenerationError("rewired graph does not realise the degree sequence")
     return g
 
@@ -234,7 +206,7 @@ def generate_iso_dataset(params: GenParams) -> tuple[Dataset, IsoProvenance]:
     prov = IsoProvenance(
         params=params,
         seed_edges=edges_of(seed_graph),
-        degree_sequence=seq.degrees,
+        degree_sequence=seq,
         base_edges=tuple(edges_of(b) for b in bases),
         permutations=tuple(perms),
         copy_classes=tuple(classes),
@@ -252,7 +224,7 @@ def verify_provenance(ds: Dataset, prov: IsoProvenance) -> bool:
     bases = {cls: prov.base_graph(cls) for cls in range(len(prov.base_edges))}
     seed_graph = graph_from_edges(prov.params.n_nodes, prov.seed_edges)
     for g in (seed_graph, *bases.values()):
-        if degree_sequence_of(g).degrees != prov.degree_sequence:
+        if degree_sequence_of(g) != prov.degree_sequence:
             return False
     for g, mapping, cls in zip(ds.graphs, prov.permutations, prov.copy_classes):
         replay = permute_graph(bases[cls], Permutation(mapping))

@@ -7,7 +7,8 @@ layout. Internally datasets persist as line-delimited JSON, one graph
 per line under a header record. Provenance sidecars and checkpoints
 are single JSON documents, written by `write_document` and read by
 `read_document`; `_is_int` is the one integer test of file entries and
-config fields.
+config fields, and `_real_field` reads a config's real field by the
+`Mat.scalar` rule.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, DomainError, ShapeError
-from .graph import LabeledGraph, edges_of, graph_from_edges
+from .graph import LabeledGraph, _int_array, edges_of, graph_from_edges
 from .tensor import Mat
 
 
@@ -248,6 +249,19 @@ def _check_int_fields(obj, **lows: int):
         object.__setattr__(obj, name, int(v))
 
 
+def _real_field(obj, name: str) -> float:
+    """A config dataclass's real field by the `Mat.scalar` rule, stored
+    back as a Python float and returned; anything else raises
+    DomainError naming the field."""
+    v = getattr(obj, name)
+    try:
+        x = Mat.scalar(v).item()
+    except (DomainError, ShapeError):
+        raise DomainError(f"{name} must be a finite real number, got {v!r}") from None
+    object.__setattr__(obj, name, x)
+    return x
+
+
 def write_document(path, fmt: str, body: dict):
     """Atomically write `body` as the JSON object `read_document` reads,
     its "format" entry `fmt` first."""
@@ -362,19 +376,13 @@ def load_dataset(path) -> Dataset:
         try:
             n_real, label, rows = rec["n_real"], rec["label"], rec["features"]
             if not (_is_int(n_real, 0) and _is_int(label, 0)):
-                raise DataFormatError(
-                    "n_real and label must be integers >= 0", path=str(path), line=i
-                )
-            x = np.array(rows, dtype=np.float64)
-            if len(rows) != n_real or not np.isfinite(x).all():
-                raise DataFormatError(
-                    f"features must be {n_real} rows of finite values", path=str(path), line=i
-                )
-            x = x.reshape(n_real, d)
-            edges = np.asarray(rec["edges"])  # held compactly until the graphs are built
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
-            if isinstance(e, DataFormatError):
-                raise
+                raise DomainError("n_real and label must be integers >= 0")
+            if len(rows) != n_real:
+                raise DomainError(f"features must be {n_real} rows")
+            x = Mat(rows).data.reshape(n_real, d)
+            # held compactly until the graphs are built
+            edges = _int_array(rec["edges"], "edges must be a list of [u, v] integer pairs")
+        except (KeyError, TypeError, ValueError) as e:  # DomainError is a ValueError
             raise DataFormatError(
                 f"malformed graph record ({e})", path=str(path), line=i
             ) from None

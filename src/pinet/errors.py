@@ -18,7 +18,8 @@ class TapeError(RuntimeError):
 
 
 class NumericalError(RuntimeError):
-    """A computation on finite inputs produced NaN or Inf."""
+    """A computation on finite inputs produced NaN or Inf: the one
+    overflow error, raised by every op result and Adam update."""
 
 
 class GenerationError(RuntimeError):
@@ -35,7 +36,3 @@ class DataFormatError(ValueError):
         super().__init__(message + loc)
         self.path = path
         self.line = line
-
-
-class TrainingError(RuntimeError):
-    """Training aborted, e.g. because a gradient became non-finite."""

@@ -11,12 +11,11 @@ weight, controlled by two scalars p and q in [0, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .tensor import Mat, _pq_scalar, as_mat
+from .tensor import Mat, _pq_scalar, _typed_array, as_mat
 
 
 def _leading_mask(n_real: int, n: int) -> np.ndarray:
@@ -91,17 +90,9 @@ class LabeledGraph:
 
 def _int_array(values, what: str) -> np.ndarray:
     """`values` (up to 2-D) as an integer array, else DomainError(`what`):
-    no floats, strings, ragged nesting or bools, even among ints, which
-    numpy would promote. An empty input passes whatever its dtype."""
-    try:
-        a = np.asarray(values)
-    except ValueError:  # ragged nesting
-        raise DomainError(what) from None
-    entries = values if a.ndim == 1 else chain.from_iterable(values) if a.ndim == 2 else ()
-    if a.size and (a.dtype.kind not in "iu"
-                   or not isinstance(values, np.ndarray) and bool in map(type, entries)):
-        raise DomainError(what)
-    return a
+    the one rule for integer arrays. No floats, strings, ragged nesting or
+    bools, even among ints; an empty input passes whatever its dtype."""
+    return _typed_array(values, "iu", what)
 
 
 def graph_from_edges(

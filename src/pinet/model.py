@@ -24,12 +24,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataio import _check_int_fields, read_document, write_document
+from .dataio import _check_int_fields, _real_field, read_document, write_document
 from .errors import DomainError, ShapeError
 from .graph import Batch, LabeledGraph, make_batch
 from .tensor import (
     Mat,
     Tape,
+    _pq_scalar,
     attention_pool,
     attention_softmax,
     backward,
@@ -57,12 +58,14 @@ class PiNetConfig:
 
     def __post_init__(self):
         _check_int_fields(self, d=1, C=1, F0=1, F1=1, seed=0)
-        if self.attention_axis not in ("nodes", "features"):
-            raise DomainError(f"attention_axis must be nodes|features, got {self.attention_axis!r}")
-        if self.pq_mode not in ("learned", "fixed"):
-            raise DomainError(f"pq_mode must be learned|fixed, got {self.pq_mode!r}")
-        if not (0.0 <= self.fixed_p <= 1.0 and 0.0 <= self.fixed_q <= 1.0):
-            raise DomainError("fixed p, q must lie in [0, 1]")
+        for name, choices in (("attention_axis", ("nodes", "features")),
+                              ("pq_mode", ("learned", "fixed"))):
+            v = getattr(self, name)
+            if v not in choices:
+                raise DomainError(f"{name} must be {'|'.join(choices)}, got {v!r}")
+            object.__setattr__(self, name, str(v))
+        for name in ("fixed_p", "fixed_q"):
+            _pq_scalar(_real_field(self, name), name)
 
     def weight_shapes(self) -> dict[str, tuple[int, int]]:
         """Shape of each weight matrix, in `init_params`' draw order; the
@@ -242,9 +245,10 @@ def save_params(params: PiNetParams, path):
 
 def load_params(path) -> PiNetParams:
     """Read a checkpoint written by `save_params`. `dataio.read_document`
-    reads the document, `PiNetConfig` checks the config and its
-    `weight_shapes` each weight's shape; a malformed entry or a p or q
-    outside [0, 1] raises DataFormatError naming the path and the entry."""
+    reads the document, `PiNetConfig` checks the config, its
+    `weight_shapes` each weight's shape, `Mat` each weight's data and
+    `tensor._pq_scalar` each p and q; a malformed entry raises
+    DataFormatError naming the path and the entry."""
     doc, bad = read_document(path, CHECKPOINT_FORMAT, "checkpoint")
     try:
         config = PiNetConfig(**doc["config"])
@@ -259,15 +263,14 @@ def load_params(path) -> PiNetParams:
             if (w["rows"], w["cols"]) != shape:
                 raise DomainError(f"must be {shape[0]}x{shape[1]} for the config, "
                                   f"got {w['rows']}x{w['cols']}")
-            values[k] = Mat(np.array(w["data"], dtype=np.float64).reshape(shape))
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            values[k] = Mat(Mat(w["data"]).data.reshape(shape))
+        except (KeyError, TypeError, ValueError) as e:  # DomainError is a ValueError
             raise bad(f"weights.{k}", f"is malformed ({e})") from None
     for k in PQ_NAMES:
         try:
-            v = doc["pq"][k]
+            values[k] = _pq_scalar(doc["pq"][k], k)
         except (KeyError, TypeError):
             raise bad(f"pq.{k}", "is missing") from None
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0:
-            raise bad(f"pq.{k}", f"must be a number in [0, 1], got {v!r}")
-        values[k] = Mat.scalar(v)
+        except ValueError as e:
+            raise bad(f"pq.{k}", f"is invalid ({e})") from None
     return PiNetParams(values, config)

@@ -25,6 +25,8 @@ class SampleSummary:
 
 
 def summarize(xs) -> SampleSummary:
+    """Mean and sample deviation; `t_test_two_sample` reads its
+    constant-sample rule from here."""
     xs = [float(x) for x in xs]
     if not xs:
         raise DomainError("summarize needs at least one value")
@@ -118,24 +120,13 @@ def t_test_two_sample(a, b) -> TTestResult:
     Convention for degenerate inputs: if both samples are constant, t is
     0 and p is 1 when the constants agree, otherwise t is signed
     infinity and p is 0."""
-    a = [float(x) for x in a]
-    b = [float(x) for x in b]
-    if len(a) < 2 or len(b) < 2:
+    sa, sb = summarize(a), summarize(b)
+    na, nb = sa.n, sb.n
+    if na < 2 or nb < 2:
         raise DomainError("both samples need at least 2 values")
-    na, nb = len(a), len(b)
     dof = na + nb - 2
-    ma, mb = float(np.mean(a)), float(np.mean(b))
-    # np.var on a constant sample is not always exactly 0 (the mean can
-    # round away from the repeated value), so force it
-    if min(a) == max(a):
-        ma, va = a[0], 0.0
-    else:
-        va = float(np.var(a, ddof=1))
-    if min(b) == max(b):
-        mb, vb = b[0], 0.0
-    else:
-        vb = float(np.var(b, ddof=1))
-    pooled = ((na - 1) * va + (nb - 1) * vb) / dof
+    ma, mb = sa.mean, sb.mean
+    pooled = ((na - 1) * sa.std**2 + (nb - 1) * sb.std**2) / dof
     se = math.sqrt(pooled * (1.0 / na + 1.0 / nb))
     if se == 0.0:
         if ma == mb:

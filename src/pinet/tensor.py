@@ -24,6 +24,7 @@ rows. At(p, q) itself is built in plain numpy by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -32,26 +33,42 @@ from .errors import DegenerateMaskError, DomainError, NumericalError, ShapeError
 
 CROSS_ENTROPY_EPS = 1e-12
 
-# Gradients map leaf names to Mats of the leaf's shape; a missing entry
-# means the loss does not depend on that leaf (zero gradient).
-Gradients = dict[str, "Mat"]
+
+def _typed_array(values, kinds: str, what: str) -> np.ndarray:
+    """`values` (up to 2-D) as an array whose dtype kind is in `kinds`,
+    else DomainError(`what`): ragged nesting, and a bool even among
+    numbers, which numpy would promote, are refused. An empty input
+    passes whatever its dtype. The dtype rule behind `Mat` and
+    `graph._int_array`."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise DomainError(what) from None
+    entries = values if a.ndim == 1 else chain.from_iterable(values) if a.ndim == 2 else ()
+    if a.size and (a.dtype.kind not in kinds or not isinstance(values, np.ndarray)
+                   and not {bool, np.bool_}.isdisjoint(map(type, entries))):
+        raise DomainError(what)
+    return a
 
 
 class Mat:
     """Immutable dense matrix of 64-bit floats in row-major layout.
 
-    Every public operation validates that the result is finite, so NaN
-    or Inf entries surface at the operation that produced them, as
-    NumericalError, instead of corrupting downstream state. Building a
-    Mat from non-finite data raises DomainError.
+    The one rule for real data: a Mat is built only from integers or
+    floats (no bools, strings, complex or other objects, even nested in
+    lists) that are finite, else DomainError. Every public operation
+    validates that its result is finite, so NaN or Inf entries surface
+    at the operation that produced them, as NumericalError, instead of
+    corrupting downstream state.
     """
 
     __slots__ = ("_a", "_tape", "_nid")
 
     def __init__(self, data):
+        a = _typed_array(data, "iuf", "Mat data must be real numbers (not bool, str or object)")
         # Private copy: constructing a Mat never locks or aliases the
         # caller's buffer.
-        a = np.array(data, dtype=np.float64, order="C")
+        a = np.array(a, dtype=np.float64, order="C")
         if not np.isfinite(a).all():
             raise DomainError("Mat entries must be finite (no NaN/Inf)")
         self._init_from(a)
@@ -112,7 +129,8 @@ class Mat:
 
     @staticmethod
     def scalar(x: float) -> "Mat":
-        return Mat([[float(x)]])
+        """1x1 Mat of the real number `x`, by the rule of `Mat`."""
+        return Mat([[x]])
 
     def __repr__(self) -> str:
         tag = " tracked" if self.is_tracked else ""
@@ -220,6 +238,7 @@ def softmax_rows(a: Mat) -> Mat:
 
 
 def _pq_scalar(v, name: str) -> Mat:
+    """`v` as a 1x1 Mat in [0, 1]: the one range rule of p and q."""
     m = as_mat(v)
     if m.shape != (1, 1):
         raise ShapeError(f"{name} must be a scalar or 1x1, got {m.rows}x{m.cols}")
@@ -404,15 +423,8 @@ def backward(tape: Tape, loss: Mat) -> dict[str, Mat]:
                 continue
             grads[pid] = contrib if grads[pid] is None else grads[pid] + contrib
 
-    out: dict[str, Mat] = {}
-    for name, nid in tape._leaves.items():
-        g = grads[nid]
-        if g is None:
-            continue
-        if not np.isfinite(g).all():
-            raise NumericalError(f"gradient for leaf {name!r} is not finite")
-        out[name] = Mat(g)
-    return out
+    return {name: Mat._adopt(grads[nid]) for name, nid in tape._leaves.items()
+            if grads[nid] is not None}
 
 
 @dataclass

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataio import _check_int_fields
-from .errors import DomainError, TrainingError
+from .dataio import _check_int_fields, _real_field
+from .errors import DomainError, ShapeError
 from .graph import make_batch
 from .model import PiNetConfig, PiNetParams, clamp_pq, grads_batch, init_params, predict_classes
 from .tensor import Mat
@@ -34,11 +33,11 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if not 0 < self.learning_rate < math.inf:
-            raise DomainError(
-                f"learning_rate must be positive and finite, got {self.learning_rate}"
-            )
+        if _real_field(self, "learning_rate") <= 0:
+            raise DomainError(f"learning_rate must be positive, got {self.learning_rate}")
         _check_int_fields(self, batch_size=1, epochs=1, seed=0)
+        if not isinstance(self.shuffle, bool):
+            raise DomainError(f"shuffle must be a bool, got {self.shuffle!r}")
 
 
 @dataclass
@@ -57,28 +56,22 @@ def adam_step(
     lr: float,
 ) -> dict[str, Mat]:
     """One bias-corrected Adam update; parameters without a gradient
-    entry are treated as having zero gradient."""
+    entry are treated as having zero gradient. An update that overflows
+    raises NumericalError, like any other op result."""
     state.t += 1
     t = state.t
     out: dict[str, Mat] = {}
     for name, p in params.items():
         g = grads[name].data if name in grads else np.zeros(p.shape)
-        if not np.isfinite(g).all():
-            raise TrainingError(f"non-finite gradient for parameter {name!r}")
-        if g.shape != p.data.shape:
-            raise TrainingError(
-                f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name!r}"
-            )
+        if g.shape != p.shape:
+            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name!r}")
         m = state.m.setdefault(name, np.zeros(p.shape))
         v = state.v.setdefault(name, np.zeros(p.shape))
         m[...] = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
         v[...] = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
         m_hat = m / (1 - ADAM_BETA1**t)
         v_hat = v / (1 - ADAM_BETA2**t)
-        new = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        if not np.isfinite(new).all():
-            raise TrainingError(f"non-finite value for parameter {name!r} after update")
-        out[name] = Mat(new)
+        out[name] = Mat._adopt(p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
     return out
 
 

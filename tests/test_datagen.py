@@ -10,12 +10,10 @@ import pytest
 from pinet import datagen
 from pinet.dataio import save_dataset
 from pinet.datagen import (
-    DegreeSequence,
     GenParams,
     degree_sequence_of,
     generate_iso_dataset,
     graph_from_degree_sequence,
-    is_graphical,
     load_provenance,
     sample_er_connected,
     save_provenance,
@@ -29,23 +27,34 @@ def _degrees(g):
     return sorted(g.adjacency.data.sum(axis=1).astype(int).tolist())
 
 
-# -- graphicality -------------------------------------------------------------
+# -- graphicality: one test, in Havel-Hakimi --------------------------------
 
-def test_is_graphical_basics():
-    assert is_graphical([1, 1])
-    assert is_graphical([2, 2, 2])
-    assert is_graphical([3, 1, 1, 1])
-    assert not is_graphical([3, 1])       # not enough partners
-    assert not is_graphical([1, 1, 1])    # odd sum
-    assert is_graphical([0, 0])
+@pytest.mark.parametrize("degrees", [(1, 1), (2, 2, 2), (3, 1, 1, 1), (0, 0), ()],
+                         ids=["edge", "triangle", "star", "isolated", "empty"])
+def test_graphical_sequences_are_realised(degrees):
+    g = graph_from_degree_sequence(degrees, seed=0)
+    assert degree_sequence_of(g) == degrees
 
 
-def test_degree_sequence_validation():
+@pytest.mark.parametrize("degrees", [
+    (3, 1),           # not enough partners
+    (1, 1, 1),        # odd sum
+    (2, 2, 0),        # even sum, still not realisable
+    (-1, 1),          # negative
+    (1.9, 1.2),       # floats are not truncated
+    (True, True),     # nor are bools read as 1
+    ("1", "1"),
+    ((1, 1),),        # not a flat sequence
+], ids=["too-few-partners", "odd-sum", "even-sum", "negative", "float", "bool", "string",
+        "nested"])
+def test_non_graphical_or_non_integer_degrees_rejected(degrees):
     with pytest.raises(DomainError):
-        DegreeSequence((3, 1))
-    with pytest.raises(DomainError):
-        DegreeSequence((-1, 1))
-    assert DegreeSequence((2, 2, 2)).degrees == (2, 2, 2)
+        graph_from_degree_sequence(degrees, seed=0)
+
+
+def test_degree_sequence_of_is_a_plain_tuple():
+    seq = degree_sequence_of(sample_er_connected(8, 0.5, seed=1))
+    assert type(seq) is tuple and all(type(d) is int for d in seq)
 
 
 # -- Erdos-Renyi sampling -----------------------------------------------------
@@ -97,26 +106,26 @@ def test_er_validation():
 # -- degree-sequence realisation ----------------------------------------------
 
 def test_degree_sequence_single_edge():
-    g = graph_from_degree_sequence(DegreeSequence((1, 1)), seed=0)
+    g = graph_from_degree_sequence((1, 1), seed=0)
     np.testing.assert_array_equal(g.adjacency.data, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_degree_sequence_triangle():
-    g = graph_from_degree_sequence(DegreeSequence((2, 2, 2)), seed=1)
+    g = graph_from_degree_sequence((2, 2, 2), seed=1)
     assert _degrees(g) == [2, 2, 2]
     assert g.adjacency.data.sum() == 6.0  # the unique 3-node realisation
 
 
 def test_degree_sequence_star():
-    g = graph_from_degree_sequence(DegreeSequence((3, 1, 1, 1)), seed=2)
+    g = graph_from_degree_sequence((3, 1, 1, 1), seed=2)
     assert _degrees(g) == [1, 1, 1, 3]
 
 
 def test_degree_sequence_preserved_across_seeds():
-    target = DegreeSequence((3, 3, 2, 2, 2, 2, 1, 1))
+    target = (3, 3, 2, 2, 2, 2, 1, 1)
     for seed in range(10):
         g = graph_from_degree_sequence(target, seed=seed)
-        assert _degrees(g) == sorted(target.degrees)
+        assert _degrees(g) == sorted(target)
 
 
 def test_degree_sequence_rewiring_varies_edges():
@@ -136,7 +145,7 @@ def test_degree_sequence_end_check_raises(monkeypatch):
     build = datagen.graph_from_edges
     monkeypatch.setattr(datagen, "graph_from_edges", lambda n, edges: build(n, edges[:-1]))
     with pytest.raises(GenerationError, match="degree sequence"):
-        graph_from_degree_sequence(DegreeSequence((2, 2, 2, 2)), seed=0)
+        graph_from_degree_sequence((2, 2, 2, 2), seed=0)
 
 
 # -- dataset generation --------------------------------------------------------
@@ -152,6 +161,7 @@ def test_gen_params_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("n_nodes", 6.0), ("copies", True), ("classes", "4"), ("seed", -1), ("seed", 1.5),
+    ("edge_prob", "0.3"), ("edge_prob", True), ("edge_prob", None), ("edge_prob", [0.3]),
 ])
 def test_gen_params_type_checks(field, value):
     with pytest.raises(DomainError, match=field):
@@ -162,6 +172,11 @@ def test_gen_params_accept_numpy_integers():
     params = GenParams(n_nodes=np.int64(6), classes=np.int32(2), copies=np.uint8(1), seed=np.int64(3))
     assert all(type(getattr(params, f)) is int for f in ("n_nodes", "classes", "copies", "seed"))
     assert params == GenParams(n_nodes=6, classes=2, copies=1, seed=3)
+
+
+def test_gen_params_store_numpy_floats_as_floats():
+    params = GenParams(edge_prob=np.float32(0.25))
+    assert type(params.edge_prob) is float and params.edge_prob == 0.25
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,8 @@
 line-delimited JSON dataset files, and the JSON documents (provenance
 and checkpoints) read through `read_document`."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -12,6 +14,7 @@ from pinet.errors import DataFormatError, DomainError, ShapeError
 from pinet.graph import LabeledGraph, graph_from_edges, pad_graph
 from pinet.model import PiNetConfig, init_params, load_params, save_params
 from pinet.tensor import Mat
+from pinet.train import TrainConfig
 
 
 def _write_tu(root, name, a_lines, indicator, labels, node_labels=None):
@@ -335,6 +338,9 @@ def test_load_rejects_malformed_header(tmp_path, field, value):
     ("label", 0.5),
     ("features", [[1.0, 2.0]] * 3),
     ("features", [[10**400]] * 3),
+    ("edges", [[0, True]]),
+    ("features", [[True]] * 3),
+    ("features", [["1.0"]] * 3),
 ])
 def test_load_rejects_malformed_record(tmp_path, field, value):
     path = tmp_path / "badrec.jsonl"
@@ -451,3 +457,41 @@ def test_fuzz_checkpoint_entry(tmp_path, entry, value):
         load_params(path)
     except DataFormatError as e:
         assert e.path == str(path)
+
+
+# -- property test of the value rules: reals in `Mat`, config fields ----------
+
+_numpy_scalars = st.one_of(
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.integers(0, 255).map(np.uint8),
+    st.booleans().map(np.bool_), st.complex_numbers().map(np.complex128),
+    st.sampled_from(["nodes", "fixed", "0.5", ""]).map(np.str_),
+)
+_huge_ints = st.integers(min_value=2**63, max_value=10**400).flatmap(
+    lambda v: st.sampled_from([v, -v]))
+_ragged = st.lists(st.lists(st.floats() | st.integers(), max_size=3), min_size=2, max_size=4)
+_any_value = st.one_of(_json_values, _numpy_scalars, _huge_ints, _ragged,
+                       st.lists(_numpy_scalars | _huge_ints, max_size=3))
+
+
+def _config_builders(cls, **base):
+    return [lambda v, f=f.name: cls(**{**base, f: v}) for f in fields(cls)]
+
+
+_VALUE_RULES = [Mat, Mat.scalar, *_config_builders(GenParams), *_config_builders(TrainConfig),
+                *_config_builders(PiNetConfig, d=1, C=2)]
+
+
+@_fuzz
+@given(st.sampled_from(_VALUE_RULES), _any_value)
+def test_fuzz_value_rules(build, value):
+    """Each rule builds or refuses with a pinet error; never a raw
+    TypeError, OverflowError or numpy ValueError."""
+    try:
+        out = build(value)
+    except (DomainError, ShapeError):
+        return
+    if isinstance(out, Mat):
+        assert out.data.dtype == np.float64 and np.isfinite(out.data).all()
+    else:
+        assert all(type(getattr(out, f.name)) in (int, float, str, bool) for f in fields(out))

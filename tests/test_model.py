@@ -76,6 +76,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("d", 1.0), ("C", True), ("F0", "8"), ("F1", 2.5), ("seed", -1), ("seed", 1.5),
+    ("fixed_p", "x"), ("fixed_p", True), ("fixed_q", "0.5"), ("fixed_q", float("nan")),
 ])
 def test_config_type_checks(field, value):
     with pytest.raises(DomainError, match=field):
@@ -87,6 +88,12 @@ def test_config_accepts_numpy_integers(tmp_path):
     assert (type(config.d), type(config.C), type(config.seed)) == (int, int, int)
     save_params(init_params(config), tmp_path / "params.json")  # JSON needs Python ints
     assert load_params(tmp_path / "params.json").config == config
+
+
+def test_config_stores_numpy_floats_as_floats():
+    config = _small_config(pq_mode="fixed", fixed_p=np.float32(0.5), fixed_q=np.float64(1.0))
+    assert (type(config.fixed_p), type(config.fixed_q)) == (float, float)
+    assert (config.fixed_p, config.fixed_q) == (0.5, 1.0)
 
 
 def test_weight_shapes_follow_the_config():
@@ -370,6 +377,12 @@ def test_checkpoint_rejects_garbage(tmp_path):
         "weights.w_a1": edited(lambda doc: doc["weights"].pop("w_a1")),
         "pq.p_x0": edited(lambda doc: doc["pq"].update(p_x0=7.0)),
         "pq.q_a1": edited(lambda doc: doc["pq"].update(q_a1="half")),
+        "pq.p_x1 bool": edited(lambda doc: doc["pq"].update(p_x1=True)),
+        "weights.w_x0 quoted": edited(lambda doc: doc["weights"]["w_x0"].update(
+            data=[str(x) for x in doc["weights"]["w_x0"]["data"]])),
+        "weights.w_a0 bool": edited(lambda doc: doc["weights"]["w_a0"].update(
+            data=[x > 0 for x in doc["weights"]["w_a0"]["data"]])),
+        "config fixed_p bool": edited(lambda doc: doc["config"].update(fixed_p=True)),
     }
     for case, doc in cases.items():
         path = tmp_path / "bad.json"

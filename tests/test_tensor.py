@@ -180,6 +180,29 @@ def test_propagate_checks_matrix_pq_by_value():
     np.testing.assert_array_equal(out.data, propagate(adj, h, 0.5, 0.5).data)
 
 
+@pytest.mark.parametrize("data", [
+    [[True]], [[1.0, True]], [[np.True_, 2]], [["1.0"]], "0.5", [[1j]], [[None]], [[{}]],
+    [[10**400]], [[1.0], [1.0, 2.0]],
+], ids=["bool", "bool-among-floats", "numpy-bool-among-ints", "quoted", "string", "complex",
+        "none", "object", "huge-int", "ragged"])
+def test_mat_accepts_only_real_numbers(data):
+    with pytest.raises(DomainError):
+        Mat(data)
+
+
+@pytest.mark.parametrize("x", ["0.25", True, np.True_, 0.5j, None])
+def test_mat_scalar_accepts_only_real_numbers(x):
+    with pytest.raises(DomainError):
+        Mat.scalar(x)
+
+
+def test_mat_takes_numpy_reals_as_float64():
+    m = Mat([[np.float32(0.5), np.int64(2), np.uint8(3)]])
+    assert m.data.dtype == np.float64 and m.data.tolist() == [[0.5, 2.0, 3.0]]
+    x = Mat.scalar(np.float64(0.25)).item()
+    assert type(x) is float and x == 0.25
+
+
 def test_non_finite_result_is_a_numerical_error():
     # non-finite data put into a Mat is bad input; an op that overflows on
     # finite operands, tracked or not, is a failure of the computation

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pinet import train
-from pinet.errors import DomainError, TrainingError
+from pinet.errors import DomainError, NumericalError, ShapeError
 from pinet.graph import graph_from_edges
 from pinet.model import PiNetConfig, init_params
 from pinet.tensor import Mat
@@ -79,14 +79,15 @@ def test_adam_deterministic_trajectory():
     np.testing.assert_array_equal(run(), run())
 
 
-def test_adam_rejects_non_finite_gradient():
-    # Mat itself refuses NaN, so smuggle one in through a stand-in
-    class FakeMat:
-        data = np.array([[float("nan")]])
-        shape = (1, 1)
+def test_adam_update_that_overflows_is_a_numerical_error():
+    # every gradient is a finite Mat; only the update itself can overflow
+    with np.errstate(over="ignore"), pytest.raises(NumericalError):
+        adam_step({"w": Mat.scalar(-1e308)}, {"w": Mat.scalar(1.0)}, AdamState(), lr=1e308)
 
-    with pytest.raises(TrainingError):
-        adam_step({"w": Mat.scalar(1.0)}, {"w": FakeMat()}, AdamState(), lr=0.1)
+
+def test_adam_rejects_gradient_of_wrong_shape():
+    with pytest.raises(ShapeError):
+        adam_step({"w": Mat.scalar(1.0)}, {"w": Mat.zeros(1, 2)}, AdamState(), lr=0.1)
 
 
 # -- fit ----------------------------------------------------------------------
@@ -134,10 +135,17 @@ def test_train_config_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("batch_size", 2.5), ("epochs", True), ("epochs", "3"), ("seed", -1), ("seed", 1.5),
+    ("learning_rate", "x"), ("learning_rate", "0.01"), ("learning_rate", True),
+    ("shuffle", "no"), ("shuffle", 0), ("shuffle", None),
 ])
 def test_train_config_type_checks(field, value):
     with pytest.raises(DomainError, match=field):
         TrainConfig(**{field: value})
+
+
+def test_train_config_stores_numpy_floats_as_floats():
+    tc = TrainConfig(learning_rate=np.float64(0.01))
+    assert type(tc.learning_rate) is float and tc.learning_rate == 0.01
 
 
 def test_train_config_accepts_numpy_integers():
