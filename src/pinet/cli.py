@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -221,9 +220,9 @@ def cmd_iso_exp(args) -> int:
             raise DomainError(
                 f"train size {size} exceeds the smallest class size {smallest}"
             )
-    rows = []
-    mc = _model_config(args, ds, args.pq)
-    tc = _train_config(args)
+        if size * len(per_class) == len(ds):
+            raise DomainError(f"train size {size} leaves no held-out graph to score")
+    jobs = []
     for size in args.sizes:
         for trial in range(args.trials):
             trial_seed = args.seed + 7919 * size + trial
@@ -233,16 +232,14 @@ def cmd_iso_exp(args) -> int:
                 members = np.asarray(per_class[cls])
                 picked = rng.choice(len(members), size=size, replace=False)
                 train_idx.extend(int(members[i]) for i in picked)
-            train_set = set(train_idx)
-            result = train.fit(
-                [ds.graphs[i] for i in train_idx],
-                replace(tc, seed=trial_seed),
-                replace(mc, seed=trial_seed),
-            )
-            test = [g for i, g in enumerate(ds.graphs) if i not in train_set]
-            acc = train.evaluate(result.params, test)
-            rows.append({"train_size": size, "trial": trial, "accuracy": acc})
-            print(f"size {size} trial {trial}: accuracy {acc:.4f}")
+            jobs.append((train_idx, trial_seed))
+    accs = train.fit_and_score(ds.graphs, jobs, _train_config(args),
+                               _model_config(args, ds, args.pq))
+    keys = [(size, trial) for size in args.sizes for trial in range(args.trials)]
+    rows = []
+    for (size, trial), acc in zip(keys, accs):
+        rows.append({"train_size": size, "trial": trial, "accuracy": acc})
+        print(f"size {size} trial {trial}: accuracy {acc:.4f}")
     stats.write_results_csv(rows, args.out, columns=["train_size", "trial", "accuracy"])
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

@@ -15,11 +15,10 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .dataio import (Dataset, _check_int_fields, _is_int, _real_field, read_document,
-                     write_document)
+from .dataio import Dataset, _real, _real_field, read_document, write_document
 from .errors import DomainError, GenerationError
-from .graph import (LabeledGraph, Permutation, _int_array, edges_of, graph_from_edges,
-                    permute_graph, random_permutation)
+from .graph import (LabeledGraph, Permutation, _check_int_fields, _int_array, _is_int, edges_of,
+                    graph_from_edges, permute_graph, random_permutation)
 
 ER_RETRY_CAP = 10_000
 BASE_RETRY_CAP = 100
@@ -65,8 +64,9 @@ def _is_connected(adj: np.ndarray) -> bool:
 def sample_er_connected(n: int, edge_prob: float, seed) -> LabeledGraph:
     """G(n, p) conditioned on connectivity: resample until a breadth-
     first search reaches every node, up to 10,000 attempts."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    if not _is_int(n, 1):
+        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    edge_prob = _real(edge_prob, "edge_prob")
     if not 0.0 < edge_prob < 1.0:
         raise DomainError(f"edge_prob must lie in (0, 1), got {edge_prob}")
     rng = _as_rng(seed)

@@ -6,15 +6,14 @@ label file, and optionally a node label file. `load_tu` reads that
 layout. Internally datasets persist as line-delimited JSON, one graph
 per line under a header record. Provenance sidecars and checkpoints
 are single JSON documents, written by `write_document` and read by
-`read_document`; `_is_int` is the one integer test of file entries and
-config fields, and `_real_field` reads a config's real field by the
-`Mat.scalar` rule.
+`read_document`; `_real` reads a real scalar by the `Mat.scalar` rule,
+and `_real_field` a config's real field by it. Integers are checked by
+the integer rule of `graph`.
 """
 
 from __future__ import annotations
 
 import json
-import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, DomainError, ShapeError
-from .graph import LabeledGraph, _int_array, edges_of, graph_from_edges
+from .graph import LabeledGraph, _int_array, _is_int, edges_of, graph_from_edges
 from .tensor import Mat
 
 
@@ -233,31 +232,19 @@ def load_tu(dir_path, dataset_name: str) -> Dataset:
 DATASET_FORMAT = "pinet-dataset-v1"
 
 
-def _is_int(v, low: int | None = None, high: int | None = None) -> bool:
-    """An integer, Python or numpy but not bool, in [low, high)."""
-    return (isinstance(v, numbers.Integral) and not isinstance(v, bool)
-            and (low is None or v >= low) and (high is None or v < high))
-
-
-def _check_int_fields(obj, **lows: int):
-    """Type-check a config dataclass's integer fields against their low
-    bounds, storing numpy integers back as (JSON-serialisable) ints."""
-    for name, low in lows.items():
-        v = getattr(obj, name)
-        if not _is_int(v, low):
-            raise DomainError(f"{name} must be an integer >= {low}, got {v!r}")
-        object.__setattr__(obj, name, int(v))
+def _real(v, name: str) -> float:
+    """`v` as a Python float by the `Mat.scalar` rule; anything else
+    raises DomainError naming it."""
+    try:
+        return Mat.scalar(v).item()
+    except (DomainError, ShapeError):
+        raise DomainError(f"{name} must be a finite real number, got {v!r}") from None
 
 
 def _real_field(obj, name: str) -> float:
-    """A config dataclass's real field by the `Mat.scalar` rule, stored
-    back as a Python float and returned; anything else raises
-    DomainError naming the field."""
-    v = getattr(obj, name)
-    try:
-        x = Mat.scalar(v).item()
-    except (DomainError, ShapeError):
-        raise DomainError(f"{name} must be a finite real number, got {v!r}") from None
+    """A config dataclass's real field by `_real`, stored back as a
+    Python float and returned."""
+    x = _real(getattr(obj, name), name)
     object.__setattr__(obj, name, x)
     return x
 

@@ -10,6 +10,7 @@ weight, controlled by two scalars p and q in [0, 1].
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,10 +50,9 @@ class LabeledGraph:
             raise ShapeError(
                 f"features have {x.rows} rows for {a.rows} adjacency rows"
             )
-        if not 0 <= self.n_real <= a.rows:
+        _check_int_fields(self, n_real=0, label=0)
+        if self.n_real > a.rows:
             raise DomainError(f"n_real={self.n_real} outside [0, {a.rows}]")
-        if self.label < 0:
-            raise DomainError(f"label must be non-negative, got {self.label}")
         mask = self.node_mask
         if mask is None:
             mask = _leading_mask(self.n_real, a.rows)
@@ -95,6 +95,23 @@ def _int_array(values, what: str) -> np.ndarray:
     return _typed_array(values, "iu", what)
 
 
+def _is_int(v, low: int | None = None, high: int | None = None) -> bool:
+    """An integer, Python or numpy but not bool, in [low, high)."""
+    return (isinstance(v, numbers.Integral) and not isinstance(v, bool)
+            and (low is None or v >= low) and (high is None or v < high))
+
+
+def _check_int_fields(obj, **lows: int):
+    """Type-check a dataclass's integer fields (a config's, or a graph's
+    `n_real` and `label`) against their low bounds, storing numpy
+    integers back as (JSON-serialisable) ints."""
+    for name, low in lows.items():
+        v = getattr(obj, name)
+        if not _is_int(v, low):
+            raise DomainError(f"{name} must be an integer >= {low}, got {v!r}")
+        object.__setattr__(obj, name, int(v))
+
+
 def graph_from_edges(
     n: int,
     edges,
@@ -110,9 +127,11 @@ def graph_from_edges(
     the one check of an edge list, for every loader. Features default to an all-ones column on the real
     nodes (zero on padding).
     """
+    if not _is_int(n, 0):
+        raise DomainError(f"n must be an integer >= 0, got {n!r}")
     n_real = n if n_real is None else n_real
-    if not 0 <= n_real <= n:
-        raise DomainError(f"n_real={n_real} outside [0, {n}]")
+    if not _is_int(n_real, 0, n + 1):
+        raise DomainError(f"n_real={n_real!r} must be an integer in [0, {n}]")
     not_pairs = "edges must be a list of [u, v] integer pairs"
     e = _int_array(edges, not_pairs)
     if not e.size:

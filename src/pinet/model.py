@@ -24,9 +24,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataio import _check_int_fields, _real_field, read_document, write_document
+from .dataio import _real_field, read_document, write_document
 from .errors import DomainError, ShapeError
-from .graph import Batch, LabeledGraph, make_batch
+from .graph import Batch, LabeledGraph, _check_int_fields, make_batch
 from .tensor import (
     Mat,
     Tape,

@@ -1,4 +1,5 @@
-"""Mini-batch Adam training, evaluation, and stratified cross-validation."""
+"""Mini-batch Adam training and evaluation, stratified cross-validation, and
+`fit_and_score`, the one runner that fits and scores every split (cv, sweep, iso-exp)."""
 
 from __future__ import annotations
 
@@ -8,10 +9,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataio import _check_int_fields, _real_field
+from .dataio import _real_field
 from .errors import DomainError, ShapeError
-from .graph import make_batch
+from .graph import _check_int_fields, make_batch
 from .model import PiNetConfig, PiNetParams, clamp_pq, grads_batch, init_params, predict_classes
+from .stats import summarize
 from .tensor import Mat
 
 ADAM_BETA1 = 0.9
@@ -163,14 +165,28 @@ class EvalReport:
     fold_seeds: tuple[int, ...]
 
 
-def _fit_eval_fold(graphs, test_idx, train_config, model_config, fold_seed):
-    test_set = set(test_idx)
-    train = [g for i, g in enumerate(graphs) if i not in test_set]
-    test = [graphs[i] for i in test_idx]
-    tc = replace(train_config, seed=fold_seed)
-    mc = replace(model_config, seed=fold_seed)
-    result = fit(train, tc, mc)
-    return evaluate(result.params, test)
+def fit_and_score(graphs, jobs, train_config: TrainConfig,
+                  model_config: PiNetConfig) -> list[float]:
+    """Accuracy per job, in job order. A job is (train indices in fit
+    order, seed): a fresh model is fit on those graphs with both configs'
+    seed replaced, then scored by `evaluate` on every other graph in input
+    order. PINET_THREADS > 1 runs the jobs in a thread pool of that size
+    (default 1, serial); the accuracies are identical either way."""
+    raw = os.environ.get("PINET_THREADS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise DomainError(f"PINET_THREADS must be an integer >= 1, got {raw!r}")
+
+    def run(job) -> float:
+        train_idx, seed = job
+        held_out = [graphs[i] for i in sorted(set(range(len(graphs))) - set(train_idx))]
+        result = fit([graphs[i] for i in train_idx], replace(train_config, seed=seed),
+                     replace(model_config, seed=seed))
+        return evaluate(result.params, held_out)
+
+    if int(raw) == 1:
+        return [run(j) for j in jobs]
+    with ThreadPoolExecutor(max_workers=int(raw)) as pool:
+        return list(pool.map(run, jobs))
 
 
 def cross_validate(
@@ -179,29 +195,14 @@ def cross_validate(
     train_config: TrainConfig,
     model_config: PiNetConfig,
 ) -> EvalReport:
-    """k-fold cross-validation: a fresh model per fold, trained on the
-    other folds, scored on the held-out one. Fold f uses seed
-    train_config.seed + f for parameter init and batch order, so runs
-    are reproducible and folds are independent. PINET_THREADS > 1
-    evaluates folds in a thread pool of that size (default 1, serial);
-    results are identical either way."""
+    """k-fold cross-validation through `fit_and_score`: a fresh model per
+    fold, fit on the other folds in input order and scored on the held-out
+    one. Fold f uses seed train_config.seed + f, so runs are reproducible
+    and folds independent. Mean and std are `stats.summarize`'s."""
     graphs = list(graphs)
     folds = stratified_kfold([g.label for g in graphs], k, train_config.seed)
     fold_seeds = tuple(train_config.seed + f for f in range(k))
-    raw = os.environ.get("PINET_THREADS", "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise DomainError(f"PINET_THREADS must be an integer >= 1, got {raw!r}")
-    workers = int(raw)
-    jobs = [
-        (graphs, folds[f], train_config, model_config, fold_seeds[f])
-        for f in range(k)
-    ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            accs = list(pool.map(lambda j: _fit_eval_fold(*j), jobs))
-    else:
-        accs = [_fit_eval_fold(*j) for j in jobs]
-    accs = [float(a) for a in accs]
-    mean = float(np.mean(accs))
-    std = float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
-    return EvalReport(tuple(accs), mean, std, fold_seeds)
+    jobs = [(sorted(set(range(len(graphs))) - set(f)), s) for f, s in zip(folds, fold_seeds)]
+    accs = fit_and_score(graphs, jobs, train_config, model_config)
+    summary = summarize(accs)
+    return EvalReport(tuple(accs), summary.mean, summary.std, fold_seeds)

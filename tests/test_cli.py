@@ -11,9 +11,10 @@ import json
 import numpy as np
 import pytest
 
-from pinet import cli
-from pinet.dataio import Dataset, save_dataset
+from pinet import cli, train
+from pinet.dataio import Dataset, load_dataset, save_dataset
 from pinet.graph import graph_from_edges
+from pinet.model import PiNetConfig
 
 
 def _run(capsys, argv):
@@ -177,15 +178,24 @@ def test_cv_two_folds_on_toy_set(capsys, tmp_path):
     assert abs(csv_mean - printed) < 5e-5
 
 
-@pytest.mark.parametrize("value", ["x", "0", "-2", "1.5"])
-def test_cv_bad_pinet_threads_exits_one(capsys, tmp_path, monkeypatch, value):
-    data = _toy_dataset_file(tmp_path, copies=2)
+_BAD_THREADS = ["x", "0", "-2", "1.5"]
+
+
+@pytest.mark.parametrize("argv, value", [
+    *(pytest.param(["cv", "--k", "2"], v, id=v) for v in _BAD_THREADS),
+    *(pytest.param(["iso-exp", "--sizes", "1", "--trials", "1"], v, id=f"iso-exp-{v}")
+      for v in _BAD_THREADS),
+])
+def test_cv_bad_pinet_threads_exits_one(capsys, tmp_path, monkeypatch, tiny_iso, argv, value):
     monkeypatch.setenv("PINET_THREADS", value)
+    out = tmp_path / "x.csv"
     code, _, err = _run(capsys, [
-        "cv", "--data", str(data), "--k", "2", "--epochs", "1", "--f0", "3", "--f1", "2",
+        *argv, "--data", str(tiny_iso), "--epochs", "1", "--f0", "3", "--f1", "2",
+        "--out", str(out),
     ])
     assert code == 1
     assert err.startswith("error:") and "PINET_THREADS" in err
+    assert not out.exists()
 
 
 def test_cv_k_exceeding_dataset_exits_one(capsys, tmp_path):
@@ -232,6 +242,74 @@ def test_iso_exp_size_too_large_exits_one(capsys, tmp_path, tiny_iso):
     ])
     assert code == 1
     assert "exceeds" in err
+
+
+def test_iso_exp_size_leaving_nothing_held_out_exits_one_before_fitting(
+        capsys, tmp_path, monkeypatch, tiny_iso):
+    # tiny_iso has 4 graphs per class, so size 4 trains on all of them
+    monkeypatch.setattr(train, "fit", lambda *a, **k: pytest.fail("fit was called"))
+    code, _, err = _run(capsys, [
+        "iso-exp", "--data", str(tiny_iso), "--sizes", "1,4", "--trials", "1",
+        "--epochs", "1", "--out", str(tmp_path / "x.csv"),
+    ])
+    assert code == 1
+    assert err.startswith("error:") and "train size 4" in err and "held-out" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def _iso_exp_run(capsys, data, out, *extra):
+    """Run a small iso-exp; returns the CSV bytes and the trial lines."""
+    code, stdout, _ = _run(capsys, [
+        "iso-exp", "--data", str(data), "--epochs", "3", "--f0", "3", "--f1", "2",
+        "--out", str(out), *extra,
+    ])
+    assert code == 0
+    return out.read_bytes(), [line for line in stdout.splitlines() if line.startswith("size ")]
+
+
+def test_iso_exp_pool_matches_serial(capsys, tmp_path, monkeypatch, tiny_iso):
+    pools = []
+    pool = train.ThreadPoolExecutor
+    monkeypatch.setattr(train, "ThreadPoolExecutor",
+                        lambda max_workers: pools.append(max_workers) or pool(max_workers))
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PINET_THREADS", threads)
+        runs.append(_iso_exp_run(capsys, tiny_iso, tmp_path / f"t{threads}.csv",
+                                 "--sizes", "1,2,3", "--trials", "2"))
+    assert len(runs[0][1]) == 6
+    assert runs[1] == runs[0]
+    assert pools == [2]
+
+
+def test_iso_exp_rows_follow_the_documented_split(capsys, tmp_path, tiny_iso):
+    # trial t of size s draws s graphs per class, classes in sorted order,
+    # with rng seed (--seed + 7919 s + t); fit on them in draw order with
+    # that seed and score on the rest in file order
+    _, lines = _iso_exp_run(capsys, tiny_iso, tmp_path / "x.csv",
+                            "--sizes", "1,3", "--trials", "2", "--seed", "4")
+    with open(tmp_path / "x.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    graphs = load_dataset(tiny_iso).graphs
+    per_class = {c: [i for i, g in enumerate(graphs) if g.label == c] for c in (0, 1)}
+    expected = []
+    for size in (1, 3):
+        for trial in range(2):
+            seed = 4 + 7919 * size + trial
+            rng = np.random.default_rng(seed)
+            picked = [per_class[c][j] for c in (0, 1)
+                      for j in rng.choice(4, size=size, replace=False)]
+            result = train.fit(
+                [graphs[i] for i in picked], train.TrainConfig(epochs=3, seed=seed),
+                PiNetConfig(d=1, C=2, F0=3, F1=2, pq_mode="fixed", fixed_p=1.0, fixed_q=0.0,
+                            seed=seed),
+            )
+            rest = [g for i, g in enumerate(graphs) if i not in picked]
+            expected.append((size, trial, train.evaluate(result.params, rest)))
+    assert [(int(r["train_size"]), int(r["trial"]), r["accuracy"]) for r in rows] == [
+        (s, t, f"{acc:.6f}") for s, t, acc in expected
+    ]
+    assert lines == [f"size {s} trial {t}: accuracy {acc:.4f}" for s, t, acc in expected]
 
 
 def test_iso_exp_requires_provenance(capsys, tmp_path):

@@ -103,6 +103,13 @@ def test_er_validation():
         sample_er_connected(5, 0.0, seed=0)
 
 
+@pytest.mark.parametrize("n, edge_prob", [(5, "0.3"), (5.0, 0.3), (True, 0.3)],
+                         ids=["str-prob", "float-n", "bool-n"])
+def test_er_reads_n_and_edge_prob_by_the_value_rules(n, edge_prob):
+    with pytest.raises(DomainError):
+        sample_er_connected(n, edge_prob, seed=0)
+
+
 # -- degree-sequence realisation ----------------------------------------------
 
 def test_degree_sequence_single_edge():

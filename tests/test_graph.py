@@ -86,6 +86,25 @@ def test_graph_rejects_malformed_edges(edges):
         graph_from_edges(3, edges)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: make_batch([graph_from_edges(2, [(0, 1)], label=0.5)], 2),
+    lambda: graph_from_edges(2, [(0, 1)], label=True),
+    lambda: graph_from_edges(2.5, [(0, 1)]),
+    lambda: graph_from_edges(2, [], n_real=1.0),
+    lambda: LabeledGraph(True, Mat(np.zeros((1, 1))), Mat(np.ones((1, 1))), 0),
+], ids=["float-label", "bool-label", "float-n", "float-n_real", "bool-n_real"])
+def test_graph_scalars_follow_the_integer_rule(build):
+    with pytest.raises(DomainError):
+        build()
+
+
+def test_graph_scalars_accept_numpy_integers():
+    g = graph_from_edges(np.int64(3), [(0, 1)], label=np.uint8(1), n_real=np.int32(2))
+    assert (g.n, g.n_real, g.label) == (3, 2, 1)
+    assert type(g.n_real) is int and type(g.label) is int
+    np.testing.assert_array_equal(make_batch([g], 2).labels.data, [[0.0, 1.0]])
+
+
 def test_edges_of_round_trips():
     rng = np.random.default_rng(4)
     for n in (1, 2, 7, 12):

@@ -283,6 +283,17 @@ def test_cross_validate_deterministic():
     assert cross_validate(*args).fold_accuracies == cross_validate(*args).fold_accuracies
 
 
+def test_cross_validate_constant_folds_summarize_exactly(monkeypatch):
+    # np.mean of three 0.7s is 0.6999999999999998; summarize keeps 0.7
+    monkeypatch.setattr(train, "evaluate", lambda params, graphs: 0.7)
+    report = cross_validate(
+        _toy_dataset(3), 3,
+        TrainConfig(learning_rate=1e-2, batch_size=4, epochs=1, seed=0),
+        PiNetConfig(d=1, C=2, F0=2, F1=2, seed=0),
+    )
+    assert (report.mean, report.std) == (0.7, 0.0)
+
+
 def test_cross_validate_pool_matches_serial(monkeypatch):
     graphs = _toy_dataset(4)
     args = (graphs, 3,
