@@ -21,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, DomainError, ShapeError
-from .graph import LabeledGraph, _int_array, _is_int, edges_of, graph_from_edges
+from .graph import (
+    LabeledGraph, _check_int_fields, _int_array, _is_int, edges_of, graph_from_edges,
+)
 from .tensor import Mat
 
 
@@ -57,8 +59,15 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "graphs", tuple(self.graphs))
-        if self.class_count < 1:
-            raise DomainError("class_count must be >= 1")
+        if not isinstance(self.name, str):
+            raise DomainError(f"dataset name must be a string, got {self.name!r}")
+        _check_int_fields(self, class_count=1)
+        # the header rules of load_dataset: raw label -> class index >= 0
+        if not isinstance(self.label_map, dict) or not all(
+                _is_int(k) and _is_int(v, 0) for k, v in self.label_map.items()):
+            raise DomainError(
+                f"label_map must map integer raw labels to classes >= 0, got {self.label_map!r}")
+        object.__setattr__(self, "label_map", {int(k): int(v) for k, v in self.label_map.items()})
         if not self.graphs:
             return
         n, d = self.graphs[0].n, self.graphs[0].d

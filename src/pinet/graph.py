@@ -44,8 +44,7 @@ class LabeledGraph:
 
     def __post_init__(self):
         a, x = self.adjacency, self.features
-        if a.rows != a.cols:
-            raise ShapeError(f"adjacency must be square, got {a.rows}x{a.cols}")
+        ad = _check_adjacency(a)
         if x.rows != a.rows:
             raise ShapeError(
                 f"features have {x.rows} rows for {a.rows} adjacency rows"
@@ -65,11 +64,6 @@ class LabeledGraph:
         mask.setflags(write=False)
         object.__setattr__(self, "node_mask", mask)
 
-        ad = a.data
-        if not np.isin(ad, (0.0, 1.0)).all():
-            raise DomainError("adjacency entries must be 0 or 1")
-        if (ad != ad.T).any():
-            raise DomainError("adjacency must be symmetric")
         if np.diagonal(ad).any():
             raise DomainError("adjacency diagonal must be zero (no self-loops)")
         pad = ~mask
@@ -86,6 +80,18 @@ class LabeledGraph:
     @property
     def d(self) -> int:
         return self.features.cols
+
+
+def _check_adjacency(a: Mat) -> np.ndarray:
+    """The adjacency rule: square, 0/1 entries, symmetric. Returns the entries."""
+    if a.rows != a.cols:
+        raise ShapeError(f"adjacency must be square, got {a.rows}x{a.cols}")
+    ad = a.data
+    if not np.isin(ad, (0.0, 1.0)).all():
+        raise DomainError("adjacency entries must be 0 or 1")
+    if (ad != ad.T).any():
+        raise DomainError("adjacency must be symmetric")
+    return ad
 
 
 def _int_array(values, what: str) -> np.ndarray:
@@ -202,8 +208,8 @@ def random_permutation(n: int, seed) -> Permutation:
     `seed` is an integer or a numpy Generator (so callers drawing many
     permutations can pass one stream).
     """
-    if n < 1:
-        raise DomainError(f"permutation size must be >= 1, got {n}")
+    if not _is_int(n, 1):
+        raise DomainError(f"permutation size must be an integer >= 1, got {n!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     idx = np.arange(n)
     for i in range(n - 1, 0, -1):
@@ -225,10 +231,8 @@ def permute_graph(g: LabeledGraph, perm: Permutation) -> LabeledGraph:
 
 def pad_graph(g: LabeledGraph, n_target: int) -> LabeledGraph:
     """Zero-extend adjacency and features to n_target nodes."""
-    if n_target < g.n_real:
-        raise DomainError(f"cannot pad to {n_target} < real node count {g.n_real}")
-    if n_target < g.n:
-        raise DomainError(f"cannot pad to {n_target} < current size {g.n}")
+    if not _is_int(n_target, g.n):  # g.n >= g.n_real
+        raise DomainError(f"cannot pad to {n_target!r}: need an integer >= current size {g.n}")
     if n_target == g.n:
         return g
     extra = n_target - g.n
@@ -243,9 +247,9 @@ class Batch:
     """Graphs sharing d, stacked for one forward pass.
 
     N is the largest `g.n` in the batch. Graph b's adjacency is
-    `adj[b]`, its features rows b*N..(b+1)*N-1 of `x` and its node mask
-    `mask[b]`, each holding the graph in its leading g.n positions and
-    zero (False) beyond them.
+    `adj[b]`, its features and degrees rows b*N..(b+1)*N-1 of `x` and
+    `deg`, its node mask `mask[b]`, each in its leading g.n positions
+    and zero (False) beyond them. Only `make_batch` builds a Batch.
     """
 
     graphs: tuple[LabeledGraph, ...]
@@ -253,6 +257,7 @@ class Batch:
     adj: np.ndarray  # B x N x N
     x: Mat  # (B*N) x d
     mask: np.ndarray  # B x N
+    deg: np.ndarray  # (B*N) x 1 node degrees, 0 on padding
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -264,6 +269,8 @@ def make_batch(graphs, class_count: int) -> Batch:
     graphs = tuple(graphs)
     if not graphs:
         raise DomainError("batch must contain at least one graph")
+    if not _is_int(class_count, 1):
+        raise DomainError(f"class_count must be an integer >= 1, got {class_count!r}")
     b, n, d = len(graphs), max(g.n for g in graphs), graphs[0].d
     onehot = np.zeros((b, class_count))
     adj = np.zeros((b, n, n))
@@ -278,9 +285,10 @@ def make_batch(graphs, class_count: int) -> Batch:
         adj[i, :g.n, :g.n] = g.adjacency.data
         x[i, :g.n] = g.features.data
         mask[i, :g.n] = g.node_mask
-    adj.setflags(write=False)
-    mask.setflags(write=False)
-    return Batch(graphs, Mat(onehot), adj, Mat(x.reshape(b * n, d)), mask)
+    deg = adj.sum(axis=2).reshape(-1, 1)
+    for arr in (adj, mask, deg):
+        arr.setflags(write=False)
+    return Batch(graphs, Mat(onehot), adj, Mat(x.reshape(b * n, d)), mask, deg)
 
 
 def propagation_matrix(a: Mat, p, q) -> Mat:
@@ -298,18 +306,11 @@ def propagation_matrix(a: Mat, p, q) -> Mat:
     the reference that `tensor.propagate` and its gradients are checked
     against, not a layer of the model.
     """
-    a = as_mat(a)
-    if a.rows != a.cols:
-        raise ShapeError(f"adjacency must be square, got {a.rows}x{a.cols}")
-    ad = a.data
-    if not np.isin(ad, (0.0, 1.0)).all():
-        raise DomainError("adjacency entries must be 0 or 1")
-    if (ad != ad.T).any():
-        raise DomainError("adjacency must be symmetric")
+    ad = _check_adjacency(as_mat(a))
     pv, qv = _pq_scalar(p, "p").item(), _pq_scalar(q, "q").item()
 
     mixed = pv + (1.0 - pv) * ad.sum(axis=1, keepdims=True)  # >= 0: p in [0, 1], deg >= 0
     pos = mixed > 0
     s = np.zeros_like(mixed)  # N x 1 column of diagonal scale factors
     s[pos] = mixed[pos] ** -0.5
-    return Mat((ad + qv * np.eye(a.rows)) * s.T * s)
+    return Mat((ad + qv * np.eye(len(ad))) * s.T * s)

@@ -142,9 +142,9 @@ def _tower_stack(batch: Batch, params: PiNetParams, kind: str) -> Mat:
     nonlinearity is the attention softmax). The first layer propagates X
     before the weight product: (At0 @ X) @ W0 costs N*N*d per graph
     instead of N*N*F0, and the two orders agree up to rounding."""
-    p, adj = params.values, batch.adj
-    h = relu(matmul(propagate(adj, batch.x, p[f"p_{kind}0"], p[f"q_{kind}0"]), p[f"w_{kind}0"]))
-    out = propagate(adj, matmul(h, p[f"w_{kind}1"]), p[f"p_{kind}1"], p[f"q_{kind}1"])
+    p = params.values
+    h = relu(matmul(propagate(batch, batch.x, p[f"p_{kind}0"], p[f"q_{kind}0"]), p[f"w_{kind}0"]))
+    out = propagate(batch, matmul(h, p[f"w_{kind}1"]), p[f"p_{kind}1"], p[f"q_{kind}1"])
     return relu(out) if kind == "x" else out
 
 

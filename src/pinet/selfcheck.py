@@ -140,13 +140,13 @@ def check_corners(cases: int = 50, seed: int = 0, tol: float = 1e-12) -> SuiteRe
     return res
 
 
-def _tape_probe(adj, h, p, q, g) -> dict[str, np.ndarray]:
+def _tape_probe(batch, h, p, q, g) -> dict[str, np.ndarray]:
     """`propagate`'s value and the tape gradients of sum(G * out) with
     respect to H, p and q. The scalar root is built from matmul alone:
     one G[:, k]^T out e_k probe per column, summed, which is exact
     because the gradients are linear in G."""
     tape = Tape()
-    out = propagate(adj, tape.leaf(Mat(h), "h"), tape.leaf(Mat.scalar(p), "p"),
+    out = propagate(batch, tape.leaf(Mat(h), "h"), tape.leaf(Mat.scalar(p), "p"),
                     tape.leaf(Mat.scalar(q), "q"))
     got = {"out": out.data, "h": np.zeros_like(h), "p": np.zeros((1, 1)), "q": np.zeros((1, 1))}
     for k in range(h.shape[1]):
@@ -182,10 +182,10 @@ def _closed_form(a, h, p, q, g) -> dict[str, np.ndarray]:
 def check_fused_layer(cases: int = 60, seed: int = 0, tol: float = 1e-12) -> SuiteResult:
     """`propagate` on a stack of graphs equals the reference
     propagation_matrix(A, p, q) @ H per graph, and its tape gradients
-    for H, p and q equal the closed-form derivatives of At(p, q). Stacks
-    mix real node counts, carry padded and isolated nodes, and cover the
-    four (p, q) corners and interior points. Errors are relative to
-    max(1, |reference|)."""
+    for H, p and q equal the closed-form derivatives of At(p, q). The
+    stacks come from `make_batch`, mix real node counts, carry padded
+    and isolated nodes, and cover the four (p, q) corners and interior
+    points. Errors are relative to max(1, |reference|)."""
     rng = np.random.default_rng(seed)
     res = SuiteResult("fused-propagation", cases, tol)
     corners = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
@@ -201,18 +201,21 @@ def check_fused_layer(cases: int = 60, seed: int = 0, tol: float = 1e-12) -> Sui
                 v = int(rng.integers(0, n_real))
                 a[v, :] = a[:, v] = 0.0
             adj[k, :n_real, :n_real] = a
-        h = np.zeros((b * n, f))
+        h = np.zeros((b, n, f))
         for k, n_real in enumerate(sizes):
-            h[k * n:k * n + n_real] = rng.normal(size=(n_real, f))
+            h[k, :n_real] = rng.normal(size=(n_real, f))
+        own = np.where(sizes < sizes.max(), sizes, n)  # make_batch pads the smaller graphs
+        batch = make_batch([LabeledGraph(int(m), Mat(a[:k, :k]), Mat(x[:k]), 0)
+                            for m, k, a, x in zip(sizes, own, adj, h)], 1)
         g = rng.normal(size=(b * n, f))
         pv, qv = corners[i] if i < len(corners) else rng.uniform(0.0, 1.0, size=2)
         if i >= len(corners) and i % 3 == 0:
             pv = 0.0  # p = 0 leaves isolated nodes with no scale at all
         pv, qv = float(pv), float(qv)
 
-        got = _tape_probe(adj, h, pv, qv, g)
+        got = _tape_probe(batch, batch.x.data, pv, qv, g)
         parts = [
-            _closed_form(adj[k], h[k * n:(k + 1) * n], pv, qv, g[k * n:(k + 1) * n])
+            _closed_form(adj[k], h[k], pv, qv, g[k * n:(k + 1) * n])
             for k in range(b)
         ]
         want = {k: np.concatenate([one[k] for one in parts]) for k in ("out", "h")}

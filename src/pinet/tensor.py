@@ -11,12 +11,13 @@ A tape is built per forward pass (define-by-run). `Mat` values are
 immutable and safe to share across threads; a `Tape` is single-threaded.
 
 Matrices stay 2-D. A batch of B graphs padded to N nodes travels as one
-(B*N) x F stack of node states, graph b in rows b*N..(b+1)*N-1, next to
-a plain B x N x N adjacency array and a B x N node mask. Two fused ops
-work on such stacks with hand-written gradients: `propagate` applies
-the At(p, q) operator of every graph without materialising it, and
-`attention_pool` turns the attention-tower stack into per-graph pooled
-rows. At(p, q) itself is built in plain numpy by
+(B*N) x F stack of node states, graph b in rows b*N..(b+1)*N-1, beside
+the `graph.Batch` that `graph.make_batch` built: a B x N x N adjacency
+stack, its degree column and a B x N node mask. Two fused ops work on
+such stacks with hand-written gradients: `propagate` reads the Batch
+and applies the At(p, q) operator of every graph without materialising
+it, and `attention_pool` turns the attention-tower stack into per-graph
+pooled rows. At(p, q) itself is built in plain numpy by
 `graph.propagation_matrix`; the `fused-propagation` selfcheck holds
 `propagate` to it in value and to its closed-form derivatives in p and q.
 """
@@ -247,33 +248,26 @@ def _pq_scalar(v, name: str) -> Mat:
     return m
 
 
-def propagate(adj, h: Mat, p, q) -> Mat:
-    """At(p, q) @ H for every graph of a stack, without building At.
+def propagate(batch, h: Mat, p, q) -> Mat:
+    """At(p, q) @ H for every graph of a `graph.Batch`, without building At.
 
-    `adj` is a B x N x N array of symmetric adjacency matrices and `h`
-    the (B*N) x F stack of node states, graph b in rows b*N..(b+1)*N-1.
-    Each block is computed in the factored form s * ((A + qI)(s * H))
-    with s = (p + (1-p)*deg)^(-1/2) per node and 0^(-1/2) := 0, the
-    operator that `graph.propagation_matrix` builds explicitly. p and q
-    are floats in [0, 1] or 1x1 matrices, possibly tracked; the result is
-    differentiable with respect to h, p and q.
+    `h` is the (B*N) x F stack of node states, graph b in rows
+    b*N..(b+1)*N-1. Each block is computed in the factored form
+    s * ((A + qI)(s * H)) with s = (p + (1-p)*deg)^(-1/2) per node from
+    `batch.adj` and `batch.deg`, and 0^(-1/2) := 0, the operator that
+    `graph.propagation_matrix` builds explicitly. p and q are floats in
+    [0, 1] or 1x1 matrices, possibly tracked; the result is
+    differentiable with respect to h, p and q. The vjp reuses the
+    operator, as A = A^T for every checked graph `make_batch` stacks.
     """
-    adj = np.asarray(adj, dtype=np.float64)
+    adj, deg = batch.adj, batch.deg
     h = as_mat(h)
-    if adj.ndim != 3 or adj.shape[1] != adj.shape[2]:
-        raise ShapeError(f"propagate: adjacency stack must be B x N x N, got {adj.shape}")
     b, n, _ = adj.shape
     if h.rows != b * n:
         raise ShapeError(f"propagate: {h.rows} state rows for {b} graphs of {n} nodes")
-    # the vjp applies the same operator to the gradient, which needs A = A^T
-    if (adj != adj.transpose(0, 2, 1)).any():
-        raise DomainError("adjacency must be symmetric")
     pm, qm = _pq_scalar(p, "p"), _pq_scalar(q, "q")
     pv, qv = pm.data[0, 0], qm.data[0, 0]
-    deg = adj.sum(axis=2).reshape(-1, 1)
-    mixed = pv + (1.0 - pv) * deg
-    if (mixed < 0).any():
-        raise DomainError("propagate: p + (1-p)*deg must be non-negative")
+    mixed = pv + (1.0 - pv) * deg  # >= 0: p in [0, 1], deg >= 0
     s = np.zeros_like(mixed)
     np.power(mixed, -0.5, out=s, where=mixed > 0)
 
@@ -390,10 +384,8 @@ def cross_entropy(z: Mat, y: Mat) -> Mat:
     live = z.data >= CROSS_ENTROPY_EPS
     yd = y.data
 
-    def vjp(g):
-        gz = g[0, 0] * np.where(live, -yd / zc, 0.0)
-        gy = g[0, 0] * -np.log(zc)
-        return gz, gy
+    def vjp(g):  # y is a constant target, never differentiated
+        return g[0, 0] * np.where(live, -yd / zc, 0.0), None
 
     return _result(np.array([[loss]]), (z, y), vjp)
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .dataio import _real_field
 from .errors import DomainError, ShapeError
-from .graph import _check_int_fields, make_batch
+from .graph import _check_int_fields, _is_int, make_batch
 from .model import PiNetConfig, PiNetParams, clamp_pq, grads_batch, init_params, predict_classes
 from .stats import summarize
 from .tensor import Mat
@@ -141,8 +141,8 @@ def stratified_kfold(labels, k: int, seed: int) -> list[list[int]]:
     most one across folds. Shuffles within each class; deterministic per
     seed. Fold lists are sorted for canonical output."""
     labels = list(labels)
-    if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
+    if not _is_int(k, 2):
+        raise DomainError(f"k must be an integer >= 2, got {k!r}")
     if k > len(labels):
         raise DomainError(f"k={k} exceeds dataset size {len(labels)}")
     rng = np.random.default_rng(seed)

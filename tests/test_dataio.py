@@ -49,6 +49,28 @@ def test_dataset_pad_must_be_tight():
         Dataset("loose", (g,), class_count=1, label_map={})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("class_count", 2.0), ("class_count", "2"), ("class_count", True), ("name", 5),
+    ("label_map", {"a": 0}), ("label_map", {0: -1}), ("label_map", {0: 1.0}),
+    ("label_map", [[0, 0]]),
+], ids=["float-class_count", "string-class_count", "bool-class_count", "int-name",
+        "string-label", "negative-class", "float-class", "list-label_map"])
+def test_dataset_refuses_fields_its_file_could_not_hold(field, value):
+    fields_ = {"name": "toy", "class_count": 2, "label_map": {0: 0}, field: value}
+    with pytest.raises(DomainError):
+        Dataset(graphs=(graph_from_edges(3, [(0, 1)]),), **fields_)
+
+
+def test_dataset_stores_numpy_integers_as_ints(tmp_path):
+    ds = Dataset("toy", (graph_from_edges(3, [(0, 1)], label=1),), class_count=np.int64(2),
+                 label_map={np.int64(-1): np.uint8(0), np.int32(1): np.int64(1)})
+    assert type(ds.class_count) is int and ds.label_map == {-1: 0, 1: 1}
+    assert all(type(x) is int for kv in ds.label_map.items() for x in kv)
+    save_dataset(ds, tmp_path / "ds.jsonl")
+    back = load_dataset(tmp_path / "ds.jsonl")
+    assert (back.class_count, back.label_map) == (2, {-1: 0, 1: 1})
+
+
 def test_dataset_class_fraction():
     gs = [graph_from_edges(3, [(0, 1)], label=i % 2) for i in range(10)]
     ds = Dataset("toy", tuple(gs), class_count=2, label_map={})

@@ -102,7 +102,10 @@ def test_graph_scalars_accept_numpy_integers():
     g = graph_from_edges(np.int64(3), [(0, 1)], label=np.uint8(1), n_real=np.int32(2))
     assert (g.n, g.n_real, g.label) == (3, 2, 1)
     assert type(g.n_real) is int and type(g.label) is int
-    np.testing.assert_array_equal(make_batch([g], 2).labels.data, [[0.0, 1.0]])
+    np.testing.assert_array_equal(make_batch([g], np.int64(2)).labels.data, [[0.0, 1.0]])
+    assert len(random_permutation(np.int64(4), 0)) == 4
+    assert pad_graph(g, np.int32(5)).n == 5
+    assert len(_stratified_kfold_k(np.uint8(2))) == 2
 
 
 def test_edges_of_round_trips():
@@ -120,6 +123,22 @@ def test_edges_of_round_trips():
 def test_graph_square_check():
     with pytest.raises(ShapeError):
         LabeledGraph(2, Mat(np.zeros((2, 3))), Mat(np.ones((2, 1))), 0)
+
+
+@pytest.mark.parametrize("a, error, message", [
+    ([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]], ShapeError, "adjacency must be square, got 2x3"),
+    ([[0.0, 2.0], [2.0, 0.0]], DomainError, "adjacency entries must be 0 or 1"),
+    ([[0.0, 1.0], [0.0, 0.0]], DomainError, "adjacency must be symmetric"),
+], ids=["not-square", "entry-2", "asymmetric"])
+def test_adjacency_rule_is_the_same_for_graph_and_reference(a, error, message):
+    rows = len(a)
+    refusals = []
+    for build in (lambda: LabeledGraph(rows, Mat(a), Mat(np.ones((rows, 1))), 0),
+                  lambda: propagation_matrix(Mat(a), 0.5, 0.5)):
+        with pytest.raises(error) as caught:
+            build()
+        refusals.append((type(caught.value), str(caught.value)))
+    assert refusals == [(error, message)] * 2
 
 
 # -- propagation matrix -------------------------------------------------------
@@ -363,6 +382,47 @@ def test_batch_pads_to_largest_size():
         singles = sum(loss_batch(make_batch([g], 2), params).item() for g in graphs)
         assert abs(loss_batch(b, params).item() - singles) <= 1e-9
         assert list(predict_classes(params, graphs)) == [predict_class(params, g) for g in graphs]
+
+
+def test_batch_degrees_per_graph_zero_on_padding():
+    graphs = [_triangle(), pad_graph(graph_from_edges(4, [(0, 1), (1, 2)], label=1), 5),
+              graph_from_edges(2, [])]
+    b = make_batch(graphs, class_count=2)
+    want = np.zeros((3, 5))
+    for k, g in enumerate(graphs):
+        want[k, :g.n] = g.adjacency.data.sum(axis=1)
+    np.testing.assert_array_equal(b.deg, want.reshape(-1, 1))
+    np.testing.assert_array_equal(b.deg[:, 0], [2, 2, 2, 0, 0, 1, 2, 1, 0, 0, 0, 0, 0, 0, 0])
+
+
+def _cross_validate_k(k):
+    from pinet.model import PiNetConfig
+    from pinet.train import TrainConfig, cross_validate
+
+    graphs = [graph_from_edges(3, [(0, 1)], label=i % 2) for i in range(4)]
+    return cross_validate(graphs, k, TrainConfig(epochs=1), PiNetConfig(d=1, C=2))
+
+
+def _stratified_kfold_k(k):
+    from pinet.train import stratified_kfold
+
+    return stratified_kfold([0, 1, 0, 1], k, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: random_permutation(2.0, 0),
+    lambda: random_permutation(True, 0),
+    lambda: pad_graph(_triangle(), 5.0),
+    lambda: _stratified_kfold_k(2.0),
+    lambda: _cross_validate_k(2.0),
+    lambda: make_batch([_triangle()], 2.0),
+    lambda: make_batch([_triangle()], True),
+], ids=["permutation-float-n", "permutation-bool-n", "pad-float-n_target",
+        "kfold-float-k", "cross-validate-float-k", "batch-float-class_count",
+        "batch-bool-class_count"])
+def test_entry_point_counts_follow_the_integer_rule(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_batch_requires_shared_width():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from pinet.errors import DegenerateMaskError, DomainError, NumericalError, ShapeError, TapeError
+from pinet.graph import graph_from_edges, make_batch
 from pinet.tensor import (
     Mat,
     Tape,
@@ -151,33 +152,30 @@ def test_attention_softmax_sums_to_one_under_mask():
 
 # -- stacked message passing and attention pooling -----------------------------
 
+def _path_batch():
+    """A 2-graph stack of N = 3 from `make_batch`: a path 0-1 and an empty graph."""
+    return make_batch([graph_from_edges(3, [(0, 1)]), graph_from_edges(2, [])], 1)
+
+
 def test_propagate_rejects_bad_stacks():
-    adj = np.zeros((2, 3, 3))
-    adj[0, 0, 1] = adj[0, 1, 0] = 1.0
-    h = Mat(np.ones((6, 2)))
+    batch, h = _path_batch(), Mat(np.ones((6, 2)))
     with pytest.raises(ShapeError):
-        propagate(adj[0], h, 0.5, 0.5)  # not a B x N x N stack
-    with pytest.raises(ShapeError):
-        propagate(adj, Mat(np.ones((5, 2))), 0.5, 0.5)
+        propagate(batch, Mat(np.ones((5, 2))), 0.5, 0.5)
     with pytest.raises(DomainError):
-        propagate(adj, h, 1.5, 0.5)
-    lopsided = adj.copy()
-    lopsided[1, 2, 0] = 1.0
+        propagate(batch, h, 1.5, 0.5)
     with pytest.raises(DomainError):
-        propagate(lopsided, h, 0.5, 0.5)
+        propagate(batch, h, 0.5, -0.5)
 
 
 def test_propagate_checks_matrix_pq_by_value():
-    adj = np.zeros((1, 3, 3))
-    adj[0, 0, 1] = adj[0, 1, 0] = 1.0
-    h = Mat(np.ones((3, 2)))
+    batch, h = _path_batch(), Mat(np.ones((6, 2)))
     with pytest.raises(DomainError):
-        propagate(adj, h, Mat.scalar(2.0), Mat.scalar(-1.0))
+        propagate(batch, h, Mat.scalar(2.0), Mat.scalar(-1.0))
     tape = Tape()
     with pytest.raises(DomainError):
-        propagate(adj, h, tape.leaf(Mat.scalar(1.5), "p"), 0.5)
-    out = propagate(adj, h, tape.leaf(Mat.scalar(0.5), "p2"), tape.leaf(Mat.scalar(0.5), "q2"))
-    np.testing.assert_array_equal(out.data, propagate(adj, h, 0.5, 0.5).data)
+        propagate(batch, h, tape.leaf(Mat.scalar(1.5), "p"), 0.5)
+    out = propagate(batch, h, tape.leaf(Mat.scalar(0.5), "p2"), tape.leaf(Mat.scalar(0.5), "q2"))
+    np.testing.assert_array_equal(out.data, propagate(batch, h, 0.5, 0.5).data)
 
 
 @pytest.mark.parametrize("data", [
@@ -285,6 +283,14 @@ def test_cross_entropy_uniform_five_class_batch():
     z = Mat(np.full((2, 5), 0.2))
     y = Mat(np.eye(5)[[0, 3]])
     assert math.isclose(cross_entropy(z, y).item(), 2 * math.log(5.0), rel_tol=1e-12)
+
+
+def test_cross_entropy_does_not_differentiate_targets():
+    tape = Tape()
+    z = tape.leaf(Mat([[0.25, 0.75]]), "z")
+    grads = backward(tape, cross_entropy(z, tape.leaf(Mat([[0.0, 1.0]]), "y")))
+    assert set(grads) == {"z"}
+    np.testing.assert_array_equal(grads["z"].data, [[0.0, -1.0 / 0.75]])
 
 
 def test_cross_entropy_rejects_bad_rows():
