@@ -40,7 +40,7 @@ class GenParams:
 
 def degree_sequence_of(g: LabeledGraph) -> tuple[int, ...]:
     """Degrees of the real nodes, in node order."""
-    return tuple(g.adjacency.data.sum(axis=1)[g.node_mask].astype(int).tolist())
+    return tuple(g.adjacency.data[:g.n_real].sum(axis=1).astype(int).tolist())
 
 
 def _as_rng(seed) -> np.random.Generator:

@@ -68,6 +68,11 @@ class Dataset:
             raise DomainError(
                 f"label_map must map integer raw labels to classes >= 0, got {self.label_map!r}")
         object.__setattr__(self, "label_map", {int(k): int(v) for k, v in self.label_map.items()})
+        classes = list(self.label_map.values())
+        if len(set(classes)) != len(classes) or any(v >= self.class_count for v in classes):
+            raise DomainError(
+                f"label_map must give distinct raw labels distinct classes "
+                f"< class_count={self.class_count}, got {self.label_map!r}")
         if not self.graphs:
             return
         n, d = self.graphs[0].n, self.graphs[0].d
@@ -292,25 +297,18 @@ _HEADER_FIELDS = {
     "d": ("an integer >= 0", lambda v: _is_int(v, 0)),
     "class_count": ("an integer >= 1", lambda v: _is_int(v, 1)),
     "label_map": (
-        "a list of [raw label, class] integer pairs",
+        "a list of [raw label, class] integer pairs, no raw label twice",
         lambda v: isinstance(v, list) and all(
             isinstance(e, list) and len(e) == 2 and _is_int(e[0]) and _is_int(e[1], 0)
             for e in v
-        ),
+        ) and len({e[0] for e in v}) == len(v),
     ),
 }
-
-
-def _canonical_mask(g: LabeledGraph) -> bool:
-    return bool(g.node_mask[:g.n_real].all())
 
 
 def save_dataset(ds: Dataset, path):
     """Line-delimited JSON: a header record, then one graph per line
     with real-node edges, feature rows, and label."""
-    for i, g in enumerate(ds.graphs):
-        if not _canonical_mask(g):
-            raise DomainError(f"graph {i}: only leading-block padded graphs serialise")
     header = {
         "format": DATASET_FORMAT,
         "name": ds.name,

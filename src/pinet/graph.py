@@ -1,8 +1,10 @@
 """Graph data model: padded adjacency/feature pairs and node relabelling.
 
 A graph is a symmetric {0,1} adjacency matrix plus a node-feature matrix,
-both zero-padded to a size N; `make_batch` pads the graphs of a batch
-to its largest N and stacks them for one forward pass. The
+both zero-padded to a size N. Its real nodes are always the leading
+`n_real` positions and every later row, column and feature row is zero;
+relabelling permutes only the real nodes. `make_batch` pads the graphs
+of a batch to its largest N and stacks them for one forward pass. The
 message-passing operator built here interpolates between the raw
 adjacency and its symmetrically degree-normalised form, with a self-loop
 weight, controlled by two scalars p and q in [0, 1].
@@ -11,7 +13,7 @@ weight, controlled by two scalars p and q in [0, 1].
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,28 +21,19 @@ from .errors import DomainError, ShapeError
 from .tensor import Mat, _pq_scalar, _typed_array, as_mat
 
 
-def _leading_mask(n_real: int, n: int) -> np.ndarray:
-    m = np.zeros(n, dtype=bool)
-    m[:n_real] = True
-    return m
-
-
 @dataclass(frozen=True, eq=False)
 class LabeledGraph:
     """Padded graph with a class label.
 
-    `node_mask[i]` is True for the positions holding real nodes; by
-    default these are the leading `n_real` indices. Relabelling a padded
-    graph permutes the mask along with everything else, so real nodes
-    may occupy arbitrary positions afterwards. Adjacency and feature
-    entries at padded positions are exactly zero.
+    The real nodes are the leading `n_real >= 1` positions; the adjacency
+    rows and columns and the feature rows of every later (padded)
+    position are exactly zero.
     """
 
     n_real: int
     adjacency: Mat
     features: Mat
     label: int
-    node_mask: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         a, x = self.adjacency, self.features
@@ -49,27 +42,15 @@ class LabeledGraph:
             raise ShapeError(
                 f"features have {x.rows} rows for {a.rows} adjacency rows"
             )
-        _check_int_fields(self, n_real=0, label=0)
+        _check_int_fields(self, n_real=1, label=0)
         if self.n_real > a.rows:
-            raise DomainError(f"n_real={self.n_real} outside [0, {a.rows}]")
-        mask = self.node_mask
-        if mask is None:
-            mask = _leading_mask(self.n_real, a.rows)
-        else:
-            mask = np.asarray(mask, dtype=bool).reshape(-1)
-            if mask.size != a.rows:
-                raise ShapeError(f"node_mask length {mask.size} != N={a.rows}")
-        if int(mask.sum()) != self.n_real:
-            raise DomainError("node_mask true-count must equal n_real")
-        mask.setflags(write=False)
-        object.__setattr__(self, "node_mask", mask)
-
+            raise DomainError(f"n_real={self.n_real} outside [1, {a.rows}]")
         if np.diagonal(ad).any():
             raise DomainError("adjacency diagonal must be zero (no self-loops)")
-        pad = ~mask
-        if ad[pad, :].any() or ad[:, pad].any():
+        # the adjacency is symmetric, so zero padded rows mean zero columns
+        if ad[self.n_real:].any():
             raise DomainError("adjacency rows/cols of padded nodes must be zero")
-        if x.data[pad, :].any():
+        if x.data[self.n_real:].any():
             raise DomainError("feature rows of padded nodes must be zero")
 
     @property
@@ -219,14 +200,15 @@ def random_permutation(n: int, seed) -> Permutation:
 
 
 def permute_graph(g: LabeledGraph, perm: Permutation) -> LabeledGraph:
-    """Relabel nodes: new index perm[v] holds what was at index v."""
-    if len(perm) != g.n:
-        raise ShapeError(f"permutation length {len(perm)} != N={g.n}")
-    inv = np.argsort(np.asarray(perm.mapping))
+    """Relabel the real nodes: new index perm[v] holds what was at index
+    v, for v in [0, n_real). `perm` has length `g.n_real`, and padding
+    stays behind the real nodes."""
+    if len(perm) != g.n_real:
+        raise ShapeError(f"permutation length {len(perm)} != n_real={g.n_real}")
+    inv = np.concatenate([np.argsort(np.asarray(perm.mapping)), np.arange(g.n_real, g.n)])
     a = g.adjacency.data[np.ix_(inv, inv)]
     x = g.features.data[inv, :]
-    mask = g.node_mask[inv]
-    return LabeledGraph(g.n_real, Mat(a), Mat(x), g.label, node_mask=mask)
+    return LabeledGraph(g.n_real, Mat(a), Mat(x), g.label)
 
 
 def pad_graph(g: LabeledGraph, n_target: int) -> LabeledGraph:
@@ -238,8 +220,7 @@ def pad_graph(g: LabeledGraph, n_target: int) -> LabeledGraph:
     extra = n_target - g.n
     a = np.pad(g.adjacency.data, ((0, extra), (0, extra)))
     x = np.pad(g.features.data, ((0, extra), (0, 0)))
-    mask = np.concatenate([g.node_mask, np.zeros(extra, dtype=bool)])
-    return LabeledGraph(g.n_real, Mat(a), Mat(x), g.label, node_mask=mask)
+    return LabeledGraph(g.n_real, Mat(a), Mat(x), g.label)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,8 +229,10 @@ class Batch:
 
     N is the largest `g.n` in the batch. Graph b's adjacency is
     `adj[b]`, its features and degrees rows b*N..(b+1)*N-1 of `x` and
-    `deg`, its node mask `mask[b]`, each in its leading g.n positions
-    and zero (False) beyond them. Only `make_batch` builds a Batch.
+    `deg`, each in its leading g.n positions and zero beyond them. Its
+    real nodes lead, so its node mask `mask[b]` is True on the leading
+    `g.n_real` positions and False beyond. Only `make_batch` builds a
+    Batch.
     """
 
     graphs: tuple[LabeledGraph, ...]
@@ -284,7 +267,7 @@ def make_batch(graphs, class_count: int) -> Batch:
         onehot[i, g.label] = 1.0
         adj[i, :g.n, :g.n] = g.adjacency.data
         x[i, :g.n] = g.features.data
-        mask[i, :g.n] = g.node_mask
+        mask[i, :g.n_real] = True
     deg = adj.sum(axis=2).reshape(-1, 1)
     for arr in (adj, mask, deg):
         arr.setflags(write=False)

@@ -241,7 +241,7 @@ def check_invariance(cases: int = 100, seed: int = 0, tol: float = 1e-9) -> Suit
         axis = "nodes" if i % 2 == 0 else "features"
         g = _random_graph(rng, n_lo=2, n_hi=40, d=d, classes=classes, pad_max=4)
         params = _random_params(rng, d, classes, attention_axis=axis)
-        perm = random_permutation(g.n, rng)
+        perm = random_permutation(g.n_real, rng)
         out = forward(g, params).data
         out_p = forward(permute_graph(g, perm), params).data
         err = float(np.abs(out - out_p).max())

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from pinet.dataio import Dataset, atomic_write, load_dataset, load_tu, save_dataset
 from pinet.datagen import GenParams, generate_iso_dataset, load_provenance, save_provenance
 from pinet.errors import DataFormatError, DomainError, ShapeError
-from pinet.graph import LabeledGraph, graph_from_edges, pad_graph
+from pinet.graph import LabeledGraph, Permutation, graph_from_edges, pad_graph, permute_graph
 from pinet.model import PiNetConfig, init_params, load_params, save_params
 from pinet.tensor import Mat
 from pinet.train import TrainConfig
@@ -52,9 +52,10 @@ def test_dataset_pad_must_be_tight():
 @pytest.mark.parametrize("field, value", [
     ("class_count", 2.0), ("class_count", "2"), ("class_count", True), ("name", 5),
     ("label_map", {"a": 0}), ("label_map", {0: -1}), ("label_map", {0: 1.0}),
-    ("label_map", [[0, 0]]),
+    ("label_map", [[0, 0]]), ("label_map", {0: 2}), ("label_map", {0: 1, 1: 1}),
 ], ids=["float-class_count", "string-class_count", "bool-class_count", "int-name",
-        "string-label", "negative-class", "float-class", "list-label_map"])
+        "string-label", "negative-class", "float-class", "list-label_map",
+        "class-beyond-count", "shared-class"])
 def test_dataset_refuses_fields_its_file_could_not_hold(field, value):
     fields_ = {"name": "toy", "class_count": 2, "label_map": {0: 0}, field: value}
     with pytest.raises(DomainError):
@@ -206,8 +207,9 @@ def test_fuzz_tu_files(tmp_path, files):
 # -- dataset file round trips ---------------------------------------------------
 
 def _toy_dataset():
-    gs = [
-        pad_graph(graph_from_edges(3, [(0, 1), (1, 2)], label=0), 4),
+    gs = [  # the first graph padded, then relabelled: its padding still trails
+        permute_graph(pad_graph(graph_from_edges(3, [(0, 1), (1, 2)], label=0), 4),
+                      Permutation((1, 2, 0))),
         graph_from_edges(4, [(0, 1), (2, 3)], label=1),
     ]
     return Dataset("toy", tuple(gs), class_count=2, label_map={0: 0, 1: 1})
@@ -242,6 +244,15 @@ def test_save_load_round_trip(tmp_path):
         np.testing.assert_array_equal(a.adjacency.data, b.adjacency.data)
         np.testing.assert_array_equal(a.features.data, b.features.data)
         assert a.label == b.label and a.n_real == b.n_real
+
+
+def test_load_rejects_a_graph_without_nodes(tmp_path):
+    path = tmp_path / "empty_graph.jsonl"
+    save_dataset(_toy_dataset(), path)
+    _edited_line(path, 2, lambda rec: {"n_real": 0, "label": 0, "edges": [], "features": []})
+    with pytest.raises(DataFormatError) as err:
+        load_dataset(path)
+    assert (err.value.path, err.value.line) == (str(path), 2)
 
 
 def test_empty_dataset_round_trip(tmp_path):
@@ -343,6 +354,7 @@ def _edited_line(path, line_no, change):
     ("n_pad", 5),  # larger than every graph's n_real
     ("d", True),
     ("name", 7),
+    ("label_map", [[0, 0], [0, 1]]),  # raw label 0 twice
 ])
 def test_load_rejects_malformed_header(tmp_path, field, value):
     path = tmp_path / "badhead.jsonl"

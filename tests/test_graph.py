@@ -38,7 +38,7 @@ def test_graph_from_edges_defaults():
     g = _triangle()
     assert g.n == 3 and g.n_real == 3 and g.d == 1
     np.testing.assert_array_equal(g.features.data, np.ones((3, 1)))
-    np.testing.assert_array_equal(g.node_mask, [True, True, True])
+    np.testing.assert_array_equal(make_batch([g], 2).mask, [[True, True, True]])
 
 
 def test_graph_requires_symmetry():
@@ -92,7 +92,10 @@ def test_graph_rejects_malformed_edges(edges):
     lambda: graph_from_edges(2.5, [(0, 1)]),
     lambda: graph_from_edges(2, [], n_real=1.0),
     lambda: LabeledGraph(True, Mat(np.zeros((1, 1))), Mat(np.ones((1, 1))), 0),
-], ids=["float-label", "bool-label", "float-n", "float-n_real", "bool-n_real"])
+    lambda: LabeledGraph(0, Mat(np.zeros((1, 1))), Mat(np.zeros((1, 1))), 0),
+    lambda: graph_from_edges(0, []),
+], ids=["float-label", "bool-label", "float-n", "float-n_real", "bool-n_real",
+        "no-real-node", "no-node"])
 def test_graph_scalars_follow_the_integer_rule(build):
     with pytest.raises(DomainError):
         build()
@@ -328,6 +331,17 @@ def test_random_permutation_uniform():
 def test_permute_size_mismatch():
     with pytest.raises(ShapeError):
         permute_graph(_path3(), Permutation((1, 0)))
+    with pytest.raises(ShapeError):  # a padded graph takes a permutation of its real nodes
+        permute_graph(pad_graph(_path3(), 5), random_permutation(5, 0))
+
+
+def test_permute_padded_graph_keeps_padding_trailing():
+    g = pad_graph(_path3(), 5)
+    out = permute_graph(g, Permutation((2, 0, 1)))
+    assert (out.n, out.n_real) == (5, 3)
+    np.testing.assert_array_equal(out.adjacency.data[:3, :3],
+                                  permute_graph(_path3(), Permutation((2, 0, 1))).adjacency.data)
+    assert not out.adjacency.data[3:].any() and not out.features.data[3:].any()
 
 
 # -- padding ------------------------------------------------------------------
@@ -344,7 +358,7 @@ def test_pad_triangle_to_five():
     np.testing.assert_array_equal(g.adjacency.data[:3, :3], _triangle().adjacency.data)
     assert (g.adjacency.data[3:, :] == 0).all()
     assert (g.features.data[3:, :] == 0).all()
-    np.testing.assert_array_equal(g.node_mask, [True, True, True, False, False])
+    np.testing.assert_array_equal(make_batch([g], 2).mask, [[True, True, True, False, False]])
 
 
 def test_pad_below_size_rejected():
@@ -367,16 +381,18 @@ def test_batch_two_graphs_labels():
 
 
 def test_batch_pads_to_largest_size():
-    # graphs of N = 3, 5 and 6 (padding moved off the leading block) in one
+    # graphs of N = 3, 5 and 6 (one of them permuted after padding) in one
     # stack give each graph's own loss and prediction
     from pinet.model import PiNetConfig, init_params, loss_batch, predict_class, predict_classes
 
-    moved = permute_graph(pad_graph(_triangle(), 6), Permutation((5, 0, 3, 1, 2, 4)))
+    moved = permute_graph(pad_graph(graph_from_edges(4, [(0, 1), (1, 3)]), 6),
+                          Permutation((3, 0, 2, 1)))
     graphs = [_path3(), pad_graph(graph_from_edges(4, [(0, 1), (1, 2), (2, 3)], label=1), 5),
               moved]
     b = make_batch(graphs, class_count=2)
     assert b.adj.shape == (3, 6, 6) and b.x.shape == (18, 1) and b.mask.shape == (3, 6)
-    np.testing.assert_array_equal(b.mask.sum(axis=1), [3, 4, 3])
+    np.testing.assert_array_equal(b.mask, [[1, 1, 1, 0, 0, 0], [1, 1, 1, 1, 0, 0],
+                                           [1, 1, 1, 1, 0, 0]])
     for axis in ("nodes", "features"):
         params = init_params(PiNetConfig(d=1, C=2, F0=5, F1=4, attention_axis=axis, seed=2))
         singles = sum(loss_batch(make_batch([g], 2), params).item() for g in graphs)

@@ -248,10 +248,11 @@ def test_forward_is_probability_vector():
 
 
 def test_forward_invariant_under_permutation():
+    # padded graphs too: the real nodes are relabelled, the padding trails
     rng = np.random.default_rng(6)
     for trial in range(20):
         n = int(rng.integers(2, 12))
-        g = _random_graph(rng, n, d=int(rng.integers(1, 3)))
+        g = pad_graph(_random_graph(rng, n, d=int(rng.integers(1, 3))), n + trial % 4)
         params = init_params(_small_config(d=g.d, C=3, seed=trial))
         perm = random_permutation(n, int(rng.integers(0, 2**31)))
         base = forward(g, params).data

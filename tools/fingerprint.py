@@ -1,0 +1,78 @@
+"""Print two sha256 digests that pin down what the package computes.
+
+Line 1 hashes the bytes `gen-iso` writes (dataset and provenance) for
+seeds 0, 3 and 7 at 20 nodes, 3 classes and 20 copies per class.
+
+Line 2 hashes seeded `fit` results (every parameter, every epoch loss),
+the `evaluate` accuracy and the checkpoint bytes on two datasets: the
+seed-0 gen-iso set, and a mixed-size set padded to its largest graph.
+Each is fitted in learned and in fixed mode, on the nodes and on the
+features attention axis.
+
+A change that should not alter any result prints the same two lines as
+its parent. Run it against a source tree with
+
+    PYTHONPATH=<tree>/src python tools/fingerprint.py
+"""
+
+import hashlib
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+from pinet.datagen import GenParams, generate_iso_dataset, sample_er_connected, save_provenance
+from pinet.dataio import save_dataset
+from pinet.graph import pad_graph
+from pinet.model import PiNetConfig, save_params
+from pinet.train import TrainConfig, evaluate, fit
+
+
+def gen_iso_digest(tmp: Path) -> str:
+    h = hashlib.sha256()
+    for seed in (0, 3, 7):
+        ds, prov = generate_iso_dataset(GenParams(n_nodes=20, classes=3, copies=20, seed=seed))
+        save_dataset(ds, tmp / "iso.jsonl")
+        save_provenance(prov, tmp / "iso.prov.json")
+        h.update((tmp / "iso.jsonl").read_bytes())
+        h.update((tmp / "iso.prov.json").read_bytes())
+    return h.hexdigest()
+
+
+def mixed_padded_graphs(count=36, classes=3, seed=5):
+    """Connected graphs of 3 to 24 nodes, each padded to the largest."""
+    rng = np.random.default_rng(seed)
+    graphs = [replace(sample_er_connected(int(n), 0.3, rng), label=i % classes)
+              for i, n in enumerate(rng.integers(3, 25, size=count))]
+    n_pad = max(g.n for g in graphs)
+    return [pad_graph(g, n_pad) for g in graphs]
+
+
+def fit_digest(tmp: Path) -> str:
+    iso, _ = generate_iso_dataset(GenParams(n_nodes=20, classes=3, copies=20, seed=0))
+    h = hashlib.sha256()
+    for graphs in (iso.graphs, mixed_padded_graphs()):
+        for pq_mode in ("learned", "fixed"):
+            for axis in ("nodes", "features"):
+                mc = PiNetConfig(d=1, C=3, F0=12, F1=8, attention_axis=axis,
+                                 pq_mode=pq_mode, seed=1)
+                res = fit(graphs, TrainConfig(batch_size=16, epochs=3, seed=2), mc)
+                for name in sorted(res.params.values):
+                    h.update(name.encode())
+                    h.update(res.params[name].data.tobytes())
+                h.update(repr((res.epoch_losses, res.steps, evaluate(res.params, graphs))).encode())
+                save_params(res.params, tmp / "params.json")
+                h.update((tmp / "params.json").read_bytes())
+    return h.hexdigest()
+
+
+def main():
+    with tempfile.TemporaryDirectory() as d:
+        tmp = Path(d)
+        print(f"{gen_iso_digest(tmp)}  gen-iso n=20 c=3 x20, seeds 0 3 7")
+        print(f"{fit_digest(tmp)}  fit, evaluate and checkpoints")
+
+
+if __name__ == "__main__":
+    main()
