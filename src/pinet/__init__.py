@@ -3,9 +3,10 @@
 A small numpy-backed library implementing a two-tower message-passing
 classifier whose propagation matrix interpolates, via two trainable
 scalars p and q, between the raw adjacency, self-loop, and symmetric
-degree-normalised regimes. Includes a reverse-mode differentiation
-tape, a synthetic isomorphism-task generator, a benchmark text-format
-loader, training with cross-validation, and an experiment CLI.
+degree-normalised regimes. Includes the model's own hand-written
+gradient chain, a synthetic isomorphism-task generator, a benchmark
+text-format loader, training with cross-validation, and an experiment
+CLI.
 """
 
 from .dataio import Dataset, load_dataset, load_tu, save_dataset

@@ -171,10 +171,6 @@ class Permutation:
     def __repr__(self) -> str:
         return f"Permutation({list(self.mapping)})"
 
-    def inverse(self) -> "Permutation":
-        inv = np.argsort(np.asarray(self.mapping))
-        return Permutation(inv)
-
     def matrix(self) -> Mat:
         """Orthogonal 0/1 matrix P with (P X)[new] = X[old]."""
         n = len(self.mapping)

@@ -10,12 +10,18 @@ propagation matrix, trainable alongside the weights.
 All entry points run the same code over a stack that
 `graph.make_batch` builds, every graph padded to the batch's largest
 N: the node states of B graphs form one (B*N) x F matrix (graph b in
-rows b*N..(b+1)*N-1), each layer is one `tensor.propagate` op over the
-whole stack, and `tensor.attention_pool` pools every graph at once. A
-training batch is one stack; `forward` is a stack of one; `evaluate`
+rows b*N..(b+1)*N-1), each layer is one `tensor.propagate` call over
+the whole stack, and `tensor.attention_pool` pools every graph at once.
+A training batch is one stack; `forward` is a stack of one; `evaluate`
 scores stacks of consecutive graphs. The propagation matrix At(p, q)
 is never built here; `graph.propagation_matrix` builds it as the
 reference implementation.
+
+The model differentiates itself. `_tower` and `_forward` compose the
+two fused ops, whose VJPs `tensor` provides, with plain numpy products,
+relu, softmax and clamped cross-entropy, and each returns a vjp closure
+that runs its pieces' VJPs in reverse order; `grads_batch` is the
+forward pass followed by that vjp.
 """
 
 from __future__ import annotations
@@ -27,22 +33,11 @@ import numpy as np
 from .dataio import _real_field, read_document, write_document
 from .errors import DomainError, ShapeError
 from .graph import Batch, LabeledGraph, _check_int_fields, make_batch
-from .tensor import (
-    Mat,
-    Tape,
-    _pq_scalar,
-    attention_pool,
-    attention_softmax,
-    backward,
-    cross_entropy,
-    matmul,
-    propagate,
-    relu,
-    softmax_rows,
-)
+from .tensor import Mat, _finite, _leaves_of, _pq_scalar, attention_pool, attention_softmax, propagate
 
 WEIGHT_NAMES = ("w_x0", "w_x1", "w_a0", "w_a1", "w_d")
 PQ_NAMES = ("p_x0", "q_x0", "p_x1", "q_x1", "p_a0", "q_a0", "p_a1", "q_a1")
+CROSS_ENTROPY_EPS = 1e-12
 
 @dataclass(frozen=True)
 class PiNetConfig:
@@ -136,26 +131,83 @@ def init_params(config: PiNetConfig) -> PiNetParams:
     return PiNetParams(values, config)
 
 
-def _tower_stack(batch: Batch, params: PiNetParams, kind: str) -> Mat:
+def _tower(batch: Batch, values: dict[str, Mat], kind: str, grads):
     """Two message-passing layers over a stack: relu(At1 @ relu(At0 @ X @
     W0) @ W1), without the outer relu for the attention tower (its
     nonlinearity is the attention softmax). The first layer propagates X
     before the weight product: (At0 @ X) @ W0 costs N*N*d per graph
-    instead of N*N*F0, and the two orders agree up to rounding."""
-    p = params.values
-    h = relu(matmul(propagate(batch, batch.x, p[f"p_{kind}0"], p[f"q_{kind}0"]), p[f"w_{kind}0"]))
-    out = propagate(batch, matmul(h, p[f"w_{kind}1"]), p[f"p_{kind}1"], p[f"q_{kind}1"])
-    return relu(out) if kind == "x" else out
+    instead of N*N*F0, and the two orders agree up to rounding.
+
+    Returns the (B*N) x F1 stack and, when `grads` names any parameter,
+    its vjp: the stack's gradient to the tower's weight gradients and to
+    those of its p and q that `grads` names. Else None, so that nothing
+    of the forward pass outlives the call."""
+    x, w0, w1 = batch.x.data, values[f"w_{kind}0"].data, values[f"w_{kind}1"].data
+    if x.shape[1] != w0.shape[0]:
+        raise ShapeError(f"graphs have d={x.shape[1]}, model d={w0.shape[0]}")
+    u, vjp0 = propagate(batch, x, values[f"p_{kind}0"], values[f"q_{kind}0"])
+    h = _finite(u @ w0)
+    np.maximum(h, 0.0, out=h)  # relu in place; h > 0 is its backward mask
+    a1 = _finite(h @ w1)
+    if not grads:  # no vjp will read layer 0: free it before layer 1
+        u = vjp0 = h = None
+    out, vjp1 = propagate(batch, a1, values[f"p_{kind}1"], values[f"q_{kind}1"])
+    top = np.maximum(out, 0.0) if kind == "x" else out
+    if not grads:
+        return top, None
+    p0, q0, p1, q1 = (f"{v}_{kind}{layer}" for layer in (0, 1) for v in "pq")
+    want0, want1 = p0 in grads or q0 in grads, p1 in grads or q1 in grads
+
+    def vjp(g):
+        if kind == "x":
+            g *= top > 0  # in place: g is the pool's fresh gradient
+        g, gp1, gq1 = vjp1(g, want1)
+        gw1 = h.T @ g
+        g = g @ w1.T
+        g *= h > 0
+        got = {f"w_{kind}0": u.T @ g, f"w_{kind}1": gw1}
+        if want0:
+            _, gp0, gq0 = vjp0(g @ w0.T, True)
+            got.update({p0: gp0, q0: gq0})
+        if want1:
+            got.update({p1: gp1, q1: gq1})
+        return got
+
+    return top, vjp
 
 
-def _probs(batch: Batch, params: PiNetParams) -> Mat:
-    """B x C class probabilities for a stack, one row per graph."""
-    if batch.x.cols != params.config.d:
-        raise ShapeError(f"graphs have d={batch.x.cols}, model d={params.config.d}")
-    z_x = _tower_stack(batch, params, "x")
-    pre = _tower_stack(batch, params, "a")
-    pooled = attention_pool(pre, z_x, batch.mask, params.config.attention_axis)
-    return softmax_rows(matmul(pooled, params.values["w_d"]))
+def _forward(batch: Batch, params: PiNetParams, grads=()):
+    """B x C class probabilities of a stack, one row per graph, and their
+    cross-entropy against `batch.labels`, summed. Probabilities are
+    clamped at CROSS_ENTROPY_EPS before the logarithm.
+
+    Also returns, when `grads` names any parameter, the loss's vjp: a
+    closure that returns the loss's gradient with respect to each named
+    parameter. Else None."""
+    values = params.values
+    z, vjp_x = _tower(batch, values, "x", grads)
+    pre, vjp_a = _tower(batch, values, "a", grads)
+    pooled, vjp_pool = attention_pool(pre, z, batch.mask, params.config.attention_axis)
+    wd = values["w_d"].data
+    logits = _finite(pooled @ wd)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    y = batch.labels.data
+    zc = np.maximum(probs, CROSS_ENTROPY_EPS)
+    loss = -(y * np.log(zc)).sum()
+    if not grads:
+        return probs, loss, None
+
+    def vjp():
+        g = np.where(probs >= CROSS_ENTROPY_EPS, -y / zc, 0.0)  # y is a constant target
+        g = probs * (g - (g * probs).sum(axis=1, keepdims=True))
+        got = {"w_d": pooled.T @ g}
+        gpre, gz = vjp_pool(g @ wd.T)
+        got.update(vjp_a(gpre))
+        got.update(vjp_x(gz))
+        return {k: got[k] for k in grads}
+
+    return probs, loss, vjp
 
 
 def forward_features(g: LabeledGraph, params: PiNetParams) -> Mat:
@@ -164,11 +216,11 @@ def forward_features(g: LabeledGraph, params: PiNetParams) -> Mat:
     Padded-node rows are zero: their input features are zero and the
     propagation matrix gives them no cross-node entries.
     """
-    return _tower_stack(make_batch([g], params.config.C), params, "x")
+    return Mat._adopt(_tower(make_batch([g], params.config.C), params.values, "x", ())[0])
 
 
 def forward_attention(g: LabeledGraph, params: PiNetParams) -> Mat:
-    """F1 x N attention weights from the attention tower (not tracked).
+    """F1 x N attention weights from the attention tower.
 
     With attention_axis="nodes", each row is softmax-normalised over the
     real (unmasked) nodes; with "features", each node's column is
@@ -176,27 +228,34 @@ def forward_attention(g: LabeledGraph, params: PiNetParams) -> Mat:
     zeroed. Either way padded-node columns are exactly 0.
     """
     batch = make_batch([g], params.config.C)
-    pre = _tower_stack(batch, params, "a").data
+    pre = _tower(batch, params.values, "a", ())[0]
     att = attention_softmax(pre.reshape(1, g.n, -1), batch.mask, params.config.attention_axis)
     return Mat(att[0].T)
 
 
 def forward(g: LabeledGraph, params: PiNetParams) -> Mat:
     """Class probability row (1 x C) for one graph."""
-    return _probs(make_batch([g], params.config.C), params)
+    return Mat._adopt(_forward(make_batch([g], params.config.C), params)[0])
 
 
 def loss_batch(batch: Batch, params: PiNetParams) -> Mat:
     """Cross-entropy summed over the batch (1x1), from one forward pass
-    over the whole batch."""
-    return cross_entropy(_probs(batch, params), batch.labels)
+    over the whole batch. When `params` holds leaves of a `tensor.Tape`
+    (of one tape only, else TapeError), the loss's vjp is kept on that
+    tape, for `tensor.backward` to run."""
+    tape, names = _leaves_of(params.values)
+    _, loss, vjp = _forward(batch, params, names)
+    out = Mat._adopt(np.array([[loss]]))
+    if tape is not None:
+        tape._root = (out.data, vjp)
+    return out
 
 
 def predict_classes(params: PiNetParams, graphs) -> np.ndarray:
     """Argmax class per graph, from one forward pass over graphs of one
     feature width d and any sizes; ties break toward the lowest index.
     A label at or above the model's class count raises DomainError."""
-    return np.argmax(_probs(make_batch(graphs, params.config.C), params).data, axis=1)
+    return np.argmax(_forward(make_batch(graphs, params.config.C), params)[0], axis=1)
 
 
 def predict_class(params: PiNetParams, g: LabeledGraph) -> int:
@@ -216,11 +275,10 @@ def clamp_pq(params: PiNetParams) -> PiNetParams:
 
 
 def grads_batch(batch: Batch, params: PiNetParams) -> tuple[float, dict[str, Mat]]:
-    """One tape pass: batch loss value and gradients for the trainables."""
-    tape = Tape()
-    tracked = {k: tape.leaf(v, k) for k, v in params.trainables().items()}
-    loss = loss_batch(batch, params.replaced(tracked))
-    return loss.item(), backward(tape, loss)
+    """Batch loss value and its gradients for the trainables: one forward
+    pass over the batch, then its vjp."""
+    _, loss, vjp = _forward(batch, params, tuple(params.trainables()))
+    return float(loss), {k: Mat._adopt(g) for k, g in vjp().items()}
 
 
 CHECKPOINT_FORMAT = "pinet-checkpoint-v1"

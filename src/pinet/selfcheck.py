@@ -20,8 +20,8 @@ from .graph import (
     propagation_matrix,
     random_permutation,
 )
-from .model import PQ_NAMES, PiNetConfig, forward, init_params, loss_batch
-from .tensor import Mat, Tape, backward, grad_check, matmul, propagate
+from .model import PQ_NAMES, PiNetConfig, forward, grads_batch, init_params
+from .tensor import Mat, grad_check, propagate
 
 
 @dataclass
@@ -140,24 +140,6 @@ def check_corners(cases: int = 50, seed: int = 0, tol: float = 1e-12) -> SuiteRe
     return res
 
 
-def _tape_probe(batch, h, p, q, g) -> dict[str, np.ndarray]:
-    """`propagate`'s value and the tape gradients of sum(G * out) with
-    respect to H, p and q. The scalar root is built from matmul alone:
-    one G[:, k]^T out e_k probe per column, summed, which is exact
-    because the gradients are linear in G."""
-    tape = Tape()
-    out = propagate(batch, tape.leaf(Mat(h), "h"), tape.leaf(Mat.scalar(p), "p"),
-                    tape.leaf(Mat.scalar(q), "q"))
-    got = {"out": out.data, "h": np.zeros_like(h), "p": np.zeros((1, 1)), "q": np.zeros((1, 1))}
-    for k in range(h.shape[1]):
-        e_k = np.zeros((h.shape[1], 1))
-        e_k[k] = 1.0
-        grads = backward(tape, matmul(matmul(Mat(g[:, k:k + 1].T), out), Mat(e_k)))
-        for name, grad in grads.items():
-            got[name] = got[name] + grad.data
-    return got
-
-
 def _closed_form(a, h, p, q, g) -> dict[str, np.ndarray]:
     """Reference At(p, q) @ H for one graph and the gradients of
     sum(G * At H) from closed forms: At is symmetric, so dH = At G;
@@ -181,11 +163,12 @@ def _closed_form(a, h, p, q, g) -> dict[str, np.ndarray]:
 
 def check_fused_layer(cases: int = 60, seed: int = 0, tol: float = 1e-12) -> SuiteResult:
     """`propagate` on a stack of graphs equals the reference
-    propagation_matrix(A, p, q) @ H per graph, and its tape gradients
-    for H, p and q equal the closed-form derivatives of At(p, q). The
-    stacks come from `make_batch`, mix real node counts, carry padded
-    and isolated nodes, and cover the four (p, q) corners and interior
-    points. Errors are relative to max(1, |reference|)."""
+    propagation_matrix(A, p, q) @ H per graph, and its vjp of G, the
+    gradients of sum(G * out) for H, p and q, equals the closed-form
+    derivatives of At(p, q). The stacks come from `make_batch`, mix real
+    node counts, carry padded and isolated nodes, and cover the four
+    (p, q) corners and interior points. Errors are relative to
+    max(1, |reference|)."""
     rng = np.random.default_rng(seed)
     res = SuiteResult("fused-propagation", cases, tol)
     corners = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
@@ -213,7 +196,8 @@ def check_fused_layer(cases: int = 60, seed: int = 0, tol: float = 1e-12) -> Sui
             pv = 0.0  # p = 0 leaves isolated nodes with no scale at all
         pv, qv = float(pv), float(qv)
 
-        got = _tape_probe(batch, batch.x.data, pv, qv, g)
+        out, vjp = propagate(batch, batch.x.data, pv, qv)
+        got = dict(zip(("out", "h", "p", "q"), (out, *vjp(g, True))))
         parts = [
             _closed_form(adj[k], h[k], pv, qv, g[k * n:(k + 1) * n])
             for k in range(b)
@@ -274,8 +258,8 @@ def check_padding(cases: int = 50, seed: int = 0, tol: float = 1e-9, extra: int 
 def check_gradients(
     cases: int = 10, seed: int = 0, tol: float = 1e-4, step: float = 1e-5
 ) -> SuiteResult:
-    """Tape gradients of the batch loss match central finite differences
-    for every weight entry and every propagation scalar."""
+    """`grads_batch` gradients of the batch loss match central finite
+    differences for every weight entry and every propagation scalar."""
     rng = np.random.default_rng(seed)
     res = SuiteResult("gradient-check", cases, tol)
     for i in range(cases):
@@ -294,8 +278,8 @@ def check_gradients(
             {k: Mat.scalar(rng.uniform(0.2, 0.8)) for k in PQ_NAMES}
         )
 
-        def f(leaves):
-            return loss_batch(batch, params.replaced(dict(leaves)))
+        def f(trainables):
+            return grads_batch(batch, params.replaced(dict(trainables)))
 
         report = grad_check(f, params.trainables(), step=step, tol=tol)
         res.max_err = max(res.max_err, report.max_rel_err)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from pinet.errors import DomainError, ShapeError
+from pinet.errors import DomainError, ShapeError, TapeError
 from pinet.graph import (
     graph_from_edges,
     make_batch,
@@ -32,9 +32,10 @@ from pinet.model import (
     load_params,
     loss_batch,
     predict_class,
+    predict_classes,
     save_params,
 )
-from pinet.tensor import Mat, grad_check
+from pinet.tensor import Mat, Tape, backward, grad_check
 
 
 def _triangle(label=0):
@@ -163,7 +164,7 @@ def test_features_zero_input_zero_output():
     g = _triangle()
     from pinet.graph import LabeledGraph
 
-    gz = LabeledGraph(3, g.adjacency, Mat.zeros(3, 1), 0)
+    gz = LabeledGraph(3, g.adjacency, Mat(np.zeros((3, 1))), 0)
     params = init_params(_small_config())
     out = forward_features(gz, params)
     np.testing.assert_array_equal(out.data, np.zeros((3, 4)))
@@ -263,7 +264,7 @@ def test_forward_invariant_under_permutation():
 def test_forward_zero_dense_weights_uniform():
     g = _random_graph(np.random.default_rng(7), 4)
     params = init_params(_small_config(C=2))
-    params = params.replaced({"w_d": Mat.zeros(16, 2)})
+    params = params.replaced({"w_d": Mat(np.zeros((16, 2)))})
     np.testing.assert_allclose(forward(g, params).data, [[0.5, 0.5]], atol=1e-12)
 
 
@@ -301,7 +302,7 @@ def test_loss_batch_equals_per_graph_log_probs():
 def test_loss_uniform_prediction_value():
     g = _random_graph(np.random.default_rng(10), 4, label=1)
     params = init_params(_small_config(C=2))
-    params = params.replaced({"w_d": Mat.zeros(16, 2)})
+    params = params.replaced({"w_d": Mat(np.zeros((16, 2)))})
     batch = make_batch([g] * 10, 2)
     assert math.isclose(loss_batch(batch, params).item(), 10 * math.log(2), rel_tol=1e-12)
 
@@ -316,8 +317,8 @@ def test_model_gradients_match_finite_differences():
     # move pq off the boundary-free default to a generic interior point
     params = params.replaced({k: Mat.scalar(0.2 + 0.07 * i) for i, k in enumerate(PQ_NAMES)})
 
-    def f(leaves):
-        return loss_batch(batch, params.replaced(dict(leaves)))
+    def f(trainables):
+        return grads_batch(batch, params.replaced(dict(trainables)))
 
     report = grad_check(f, params.trainables(), step=1e-5, tol=1e-4)
     assert report.ok, report.failures[:3]
@@ -330,6 +331,69 @@ def test_pq_gradients_flow():
     assert math.isfinite(loss)
     for name in PQ_NAMES:
         assert name in grads
+
+
+# -- the tape adapter ---------------------------------------------------------
+
+def _tape_grads(batch, params):
+    """One step as a caller of the tape drives it: leaves, `loss_batch`,
+    `backward`."""
+    tape = Tape()
+    tracked = {k: tape.leaf(v, k) for k, v in params.trainables().items()}
+    loss = loss_batch(batch, params.replaced(tracked))
+    return loss.item(), backward(tape, loss)
+
+
+def test_tape_step_equals_grads_batch():
+    rng = np.random.default_rng(14)
+    graphs = [pad_graph(_random_graph(rng, n, label=n % 2), 8) for n in (3, 8, 6)]
+    batch = make_batch(graphs, 2)
+    for mode in ("learned", "fixed"):
+        for axis in ("nodes", "features"):
+            params = init_params(_small_config(pq_mode=mode, attention_axis=axis, seed=2))
+            loss, grads = grads_batch(batch, params)
+            tape_loss, tape_grads = _tape_grads(batch, params)
+            assert tape_loss == loss
+            assert list(tape_grads) == list(grads) == list(params.trainables())
+            for k in grads:
+                np.testing.assert_array_equal(tape_grads[k].data, grads[k].data)
+
+
+def test_tape_errors():
+    batch, params = make_batch([_triangle()], 2), init_params(_small_config())
+    t1, t2 = Tape(), Tape()
+    mixed = params.replaced({"w_x0": t1.leaf(params["w_x0"], "w_x0"),
+                             "p_a1": t2.leaf(params["p_a1"], "p_a1")})
+    with pytest.raises(TapeError):
+        loss_batch(batch, mixed)
+    tracked = params.replaced({"w_d": t1.leaf(params["w_d"], "w_d")})
+    for not_from_t1 in (loss_batch(batch, params), Mat.scalar(1.0)):
+        with pytest.raises(TapeError):
+            backward(t1, not_from_t1)
+    loss_batch(batch, tracked)
+    with pytest.raises(TapeError):  # recorded, but another loss
+        backward(t1, loss_batch(batch, params))
+
+
+def test_steps_leave_no_cycles():
+    # a tape keeps names, not leaves, so a dropped step is freed by
+    # reference counting and the cyclic collector finds nothing
+    import gc
+
+    rng = np.random.default_rng(15)
+    graphs = [_random_graph(rng, 6, label=i % 2) for i in range(4)]
+    batch = make_batch(graphs, 2)
+    params = init_params(_small_config())
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            _tape_grads(batch, params)
+        grads_batch(batch, params)
+        predict_classes(params, graphs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- clamping and checkpoints -------------------------------------------------

@@ -39,7 +39,7 @@ def _toy_dataset(copies=6):
 def test_adam_zero_gradient_no_move():
     params = {"w": Mat([[1.0, 2.0]])}
     state = AdamState()
-    out = adam_step(params, {"w": Mat.zeros(1, 2)}, state, lr=0.1)
+    out = adam_step(params, {"w": Mat(np.zeros((1, 2)))}, state, lr=0.1)
     np.testing.assert_array_equal(out["w"].data, params["w"].data)
     assert state.t == 1
 
@@ -87,7 +87,7 @@ def test_adam_update_that_overflows_is_a_numerical_error():
 
 def test_adam_rejects_gradient_of_wrong_shape():
     with pytest.raises(ShapeError):
-        adam_step({"w": Mat.scalar(1.0)}, {"w": Mat.zeros(1, 2)}, AdamState(), lr=0.1)
+        adam_step({"w": Mat.scalar(1.0)}, {"w": Mat(np.zeros((1, 2)))}, AdamState(), lr=0.1)
 
 
 # -- fit ----------------------------------------------------------------------
@@ -205,7 +205,7 @@ def test_evaluate_mixed_sizes_matches_per_graph_predictions():
     per_graph = sum(predict_class(params, g) == g.label for g in graphs) / len(graphs)
     assert evaluate(params, graphs) == per_graph
     # all-zero readout: every class ties, so every prediction is class 0
-    flat = params.replaced({"w_d": Mat.zeros(16, 3)})
+    flat = params.replaced({"w_d": Mat(np.zeros((16, 3)))})
     assert evaluate(flat, graphs) == sum(g.label == 0 for g in graphs) / len(graphs)
 
 
