@@ -22,7 +22,6 @@ from .datagen import (
 )
 from .errors import (
     DataFormatError,
-    DegenerateMaskError,
     DomainError,
     GenerationError,
     NumericalError,

@@ -16,14 +16,7 @@ import sys
 import numpy as np
 
 from . import datagen, dataio, model, selfcheck, stats, train
-from .errors import (
-    DataFormatError,
-    DomainError,
-    GenerationError,
-    NumericalError,
-    ShapeError,
-    TapeError,
-)
+from .errors import DataFormatError, DomainError, GenerationError, NumericalError, ShapeError
 from .tensor import _pq_scalar
 
 
@@ -358,7 +351,7 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 1
-    except (GenerationError, NumericalError, TapeError) as e:
+    except (GenerationError, NumericalError) as e:
         print(f"runtime failure: {e}", file=sys.stderr)
         return 2
 

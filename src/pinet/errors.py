@@ -9,10 +9,6 @@ class DomainError(ValueError):
     """An argument is outside the domain an operation accepts."""
 
 
-class DegenerateMaskError(DomainError):
-    """A softmax slice has every position masked out."""
-
-
 class TapeError(RuntimeError):
     """A differentiation request violates the tape contract."""
 

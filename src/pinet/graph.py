@@ -227,14 +227,15 @@ class Batch:
     `adj[b]`, its features and degrees rows b*N..(b+1)*N-1 of `x` and
     `deg`, each in its leading g.n positions and zero beyond them. Its
     real nodes lead, so its node mask `mask[b]` is True on the leading
-    `g.n_real` positions and False beyond. Only `make_batch` builds a
-    Batch.
+    `g.n_real` positions and False beyond. Every array is read-only,
+    and all but the bool `mask` hold float64. Only `make_batch` builds a
+    Batch, from checked graphs.
     """
 
     graphs: tuple[LabeledGraph, ...]
-    labels: Mat  # B x C one-hot
+    labels: np.ndarray  # B x C one-hot
     adj: np.ndarray  # B x N x N
-    x: Mat  # (B*N) x d
+    x: np.ndarray  # (B*N) x d
     mask: np.ndarray  # B x N
     deg: np.ndarray  # (B*N) x 1 node degrees, 0 on padding
 
@@ -264,10 +265,11 @@ def make_batch(graphs, class_count: int) -> Batch:
         adj[i, :g.n, :g.n] = g.adjacency.data
         x[i, :g.n] = g.features.data
         mask[i, :g.n_real] = True
+    x = x.reshape(b * n, d)
     deg = adj.sum(axis=2).reshape(-1, 1)
-    for arr in (adj, mask, deg):
+    for arr in (onehot, adj, x, mask, deg):
         arr.setflags(write=False)
-    return Batch(graphs, Mat(onehot), adj, Mat(x.reshape(b * n, d)), mask, deg)
+    return Batch(graphs, onehot, adj, x, mask, deg)
 
 
 def propagation_matrix(a: Mat, p, q) -> Mat:

@@ -142,7 +142,7 @@ def _tower(batch: Batch, values: dict[str, Mat], kind: str, grads):
     its vjp: the stack's gradient to the tower's weight gradients and to
     those of its p and q that `grads` names. Else None, so that nothing
     of the forward pass outlives the call."""
-    x, w0, w1 = batch.x.data, values[f"w_{kind}0"].data, values[f"w_{kind}1"].data
+    x, w0, w1 = batch.x, values[f"w_{kind}0"].data, values[f"w_{kind}1"].data
     if x.shape[1] != w0.shape[0]:
         raise ShapeError(f"graphs have d={x.shape[1]}, model d={w0.shape[0]}")
     u, vjp0 = propagate(batch, x, values[f"p_{kind}0"], values[f"q_{kind}0"])
@@ -187,12 +187,12 @@ def _forward(batch: Batch, params: PiNetParams, grads=()):
     values = params.values
     z, vjp_x = _tower(batch, values, "x", grads)
     pre, vjp_a = _tower(batch, values, "a", grads)
-    pooled, vjp_pool = attention_pool(pre, z, batch.mask, params.config.attention_axis)
+    pooled, vjp_pool = attention_pool(batch, pre, z, params.config.attention_axis)
     wd = values["w_d"].data
     logits = _finite(pooled @ wd)
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs = e / e.sum(axis=1, keepdims=True)
-    y = batch.labels.data
+    y = batch.labels
     zc = np.maximum(probs, CROSS_ENTROPY_EPS)
     loss = -(y * np.log(zc)).sum()
     if not grads:

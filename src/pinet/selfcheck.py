@@ -1,9 +1,10 @@
 """Randomized consistency suites for the core mathematical claims.
 
-Each suite draws randomized cases, measures the worst deviation from
-the claimed identity, and reports pass/fail against a tolerance. The
-suites back the `selfcheck` command and are reused by the test suite,
-so the checks run identically in both places.
+Each suite draws randomized cases from one seeded stream, measures each
+case's deviation from the claimed identity, and reports the worst one
+and pass/fail against a tolerance; `_suite` is the one loop that runs
+them. The suites back the `selfcheck` command and are reused by the test
+suite, so the checks run identically in both places.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .graph import (
     propagation_matrix,
     random_permutation,
 )
-from .model import PQ_NAMES, PiNetConfig, forward, grads_batch, init_params
+from .model import PQ_NAMES, PiNetConfig, forward, grads_batch, init_params, loss_batch
 from .tensor import Mat, grad_check, propagate
 
 
@@ -42,6 +43,20 @@ class SuiteResult:
             f"{self.name}: {self.cases} cases, max err {self.max_err:.3e} "
             f"(tol {self.tol:.0e}) -- {status}"
         )
+
+
+def _suite(name: str, cases: int, seed: int, tol: float, case) -> SuiteResult:
+    """Run `case(rng, i) -> (err, what)` for i < `cases`, every draw from
+    one default_rng(`seed`) stream; keep the largest err, and report each
+    case with err > `tol` as "case i: <what> err=<err>"."""
+    rng = np.random.default_rng(seed)
+    res = SuiteResult(name, cases, tol)
+    for i in range(cases):
+        err, what = case(rng, i)
+        res.max_err = max(res.max_err, err)
+        if err > tol:
+            res.failures.append(f"case {i}: {what} err={err:.3e}")
+    return res
 
 
 def _random_adjacency(rng, n: int, min_degree: int = 0) -> np.ndarray:
@@ -81,46 +96,37 @@ def _random_params(rng, d, classes, f0=7, f1=5, attention_axis="nodes"):
 def check_inner_product_reorder(cases: int = 100, seed: int = 0, tol: float = 1e-12) -> SuiteResult:
     """(PA)^T (PB) == A^T B for any permutation matrix P: permuting rows
     of both factors reorders the summands of each inner product."""
-    rng = np.random.default_rng(seed)
-    res = SuiteResult("inner-product-reorder", cases, tol)
-    for i in range(cases):
+    def case(rng, i):
         n = int(rng.integers(2, 12))
         m, k = int(rng.integers(1, 6)), int(rng.integers(1, 6))
         a = rng.normal(size=(n, m))
         b = rng.normal(size=(n, k))
         p = random_permutation(n, rng).matrix().data
-        err = float(np.abs((p @ a).T @ (p @ b) - a.T @ b).max())
-        res.max_err = max(res.max_err, err)
-        if err > tol:
-            res.failures.append(f"case {i}: n={n} err={err:.3e}")
-    return res
+        return float(np.abs((p @ a).T @ (p @ b) - a.T @ b).max()), f"n={n}"
+
+    return _suite("inner-product-reorder", cases, seed, tol, case)
 
 
 def check_equivariance(cases: int = 100, seed: int = 0, tol: float = 1e-10) -> SuiteResult:
     """Relabelling commutes with the propagation matrix: building it
     from PAP^T equals conjugating the original by P."""
-    rng = np.random.default_rng(seed)
-    res = SuiteResult("propagation-equivariance", cases, tol)
-    for i in range(cases):
+    def case(rng, i):
         n = int(rng.integers(2, 16))
         a = _random_adjacency(rng, n)
         p_val, q_val = rng.uniform(0, 1), rng.uniform(0, 1)
         p = random_permutation(n, rng).matrix().data
         lhs = propagation_matrix(Mat(p @ a @ p.T), p_val, q_val).data
         rhs = p @ propagation_matrix(Mat(a), p_val, q_val).data @ p.T
-        err = float(np.abs(lhs - rhs).max())
-        res.max_err = max(res.max_err, err)
-        if err > tol:
-            res.failures.append(f"case {i}: n={n} p={p_val:.3f} q={q_val:.3f} err={err:.3e}")
-    return res
+        return float(np.abs(lhs - rhs).max()), f"n={n} p={p_val:.3f} q={q_val:.3f}"
+
+    return _suite("propagation-equivariance", cases, seed, tol, case)
 
 
 def check_corners(cases: int = 50, seed: int = 0, tol: float = 1e-12) -> SuiteResult:
     """The four (p,q) extremes reproduce their closed forms: A, A+I,
-    and the symmetrically degree-normalised versions of both."""
-    rng = np.random.default_rng(seed)
-    res = SuiteResult("propagation-corners", cases, tol)
-    for i in range(cases):
+    and the symmetrically degree-normalised versions of both. A case
+    reports its worst corner."""
+    def case(rng, i):
         n = int(rng.integers(3, 16))
         a = _random_adjacency(rng, n, min_degree=1)
         eye = np.eye(n)
@@ -131,13 +137,14 @@ def check_corners(cases: int = 50, seed: int = 0, tol: float = 1e-12) -> SuiteRe
             (0.0, 0.0): dis @ a @ dis,
             (0.0, 1.0): dis @ (a + eye) @ dis,
         }
+        errs = {}
         for (pv, qv), want in closed.items():
             got = propagation_matrix(Mat(a), pv, qv).data
-            err = float(np.abs(got - want).max())
-            res.max_err = max(res.max_err, err)
-            if err > tol:
-                res.failures.append(f"case {i}: corner ({pv},{qv}) err={err:.3e}")
-    return res
+            errs[f"corner ({pv},{qv})"] = float(np.abs(got - want).max())
+        worst = max(errs, key=errs.get)
+        return errs[worst], worst
+
+    return _suite("propagation-corners", cases, seed, tol, case)
 
 
 def _closed_form(a, h, p, q, g) -> dict[str, np.ndarray]:
@@ -169,10 +176,9 @@ def check_fused_layer(cases: int = 60, seed: int = 0, tol: float = 1e-12) -> Sui
     node counts, carry padded and isolated nodes, and cover the four
     (p, q) corners and interior points. Errors are relative to
     max(1, |reference|)."""
-    rng = np.random.default_rng(seed)
-    res = SuiteResult("fused-propagation", cases, tol)
     corners = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
-    for i in range(cases):
+
+    def case(rng, i):
         b = int(rng.integers(1, 6))
         f = int(rng.integers(1, 5))
         sizes = rng.integers(1, 10, size=b)
@@ -196,7 +202,7 @@ def check_fused_layer(cases: int = 60, seed: int = 0, tol: float = 1e-12) -> Sui
             pv = 0.0  # p = 0 leaves isolated nodes with no scale at all
         pv, qv = float(pv), float(qv)
 
-        out, vjp = propagate(batch, batch.x.data, pv, qv)
+        out, vjp = propagate(batch, batch.x, pv, qv)
         got = dict(zip(("out", "h", "p", "q"), (out, *vjp(g, True))))
         parts = [
             _closed_form(adj[k], h[k], pv, qv, g[k * n:(k + 1) * n])
@@ -207,19 +213,14 @@ def check_fused_layer(cases: int = 60, seed: int = 0, tol: float = 1e-12) -> Sui
         err = float(max(
             (np.abs(got[k] - want[k]) / np.maximum(1.0, np.abs(want[k]))).max() for k in want
         ))
-        res.max_err = max(res.max_err, err)
-        if err > tol:
-            res.failures.append(
-                f"case {i}: B={b} N={n} sizes={sizes.tolist()} p={pv:.3f} q={qv:.3f} err={err:.3e}"
-            )
-    return res
+        return err, f"B={b} N={n} sizes={sizes.tolist()} p={pv:.3f} q={qv:.3f}"
+
+    return _suite("fused-propagation", cases, seed, tol, case)
 
 
 def check_invariance(cases: int = 100, seed: int = 0, tol: float = 1e-9) -> SuiteResult:
     """Relabelling a graph's nodes must not move the classifier output."""
-    rng = np.random.default_rng(seed)
-    res = SuiteResult("prediction-invariance", cases, tol)
-    for i in range(cases):
+    def case(rng, i):
         d = int(rng.integers(1, 4))
         classes = int(rng.integers(2, 5))
         axis = "nodes" if i % 2 == 0 else "features"
@@ -228,19 +229,15 @@ def check_invariance(cases: int = 100, seed: int = 0, tol: float = 1e-9) -> Suit
         perm = random_permutation(g.n_real, rng)
         out = forward(g, params).data
         out_p = forward(permute_graph(g, perm), params).data
-        err = float(np.abs(out - out_p).max())
-        res.max_err = max(res.max_err, err)
-        if err > tol:
-            res.failures.append(f"case {i}: n_real={g.n_real} axis={axis} err={err:.3e}")
-    return res
+        return float(np.abs(out - out_p).max()), f"n_real={g.n_real} axis={axis}"
+
+    return _suite("prediction-invariance", cases, seed, tol, case)
 
 
 def check_padding(cases: int = 50, seed: int = 0, tol: float = 1e-9, extra: int = 10) -> SuiteResult:
     """Zero-padding a graph further must not move the classifier output
     (this is what masking the attention softmax buys)."""
-    rng = np.random.default_rng(seed)
-    res = SuiteResult("padding-invariance", cases, tol)
-    for i in range(cases):
+    def case(rng, i):
         d = int(rng.integers(1, 4))
         classes = int(rng.integers(2, 5))
         axis = "nodes" if i % 2 == 0 else "features"
@@ -248,21 +245,18 @@ def check_padding(cases: int = 50, seed: int = 0, tol: float = 1e-9, extra: int 
         params = _random_params(rng, d, classes, attention_axis=axis)
         out = forward(g, params).data
         out_pad = forward(pad_graph(g, g.n + extra), params).data
-        err = float(np.abs(out - out_pad).max())
-        res.max_err = max(res.max_err, err)
-        if err > tol:
-            res.failures.append(f"case {i}: n={g.n} axis={axis} err={err:.3e}")
-    return res
+        return float(np.abs(out - out_pad).max()), f"n={g.n} axis={axis}"
+
+    return _suite("padding-invariance", cases, seed, tol, case)
 
 
 def check_gradients(
     cases: int = 10, seed: int = 0, tol: float = 1e-4, step: float = 1e-5
 ) -> SuiteResult:
     """`grads_batch` gradients of the batch loss match central finite
-    differences for every weight entry and every propagation scalar."""
-    rng = np.random.default_rng(seed)
-    res = SuiteResult("gradient-check", cases, tol)
-    for i in range(cases):
+    differences of `loss_batch` for every weight entry and every
+    propagation scalar."""
+    def case(rng, i):
         d = int(rng.integers(1, 3))
         classes = int(rng.integers(2, 4))
         axis = "nodes" if i % 2 == 0 else "features"
@@ -277,19 +271,15 @@ def check_gradients(
         params = params.replaced(
             {k: Mat.scalar(rng.uniform(0.2, 0.8)) for k in PQ_NAMES}
         )
+        report = grad_check(lambda p: loss_batch(batch, params.replaced(p)).item(),
+                            grads_batch(batch, params)[1], params.trainables(), step, tol)
+        if report.ok:
+            return report.max_rel_err, ""
+        worst = max(report.failures, key=lambda e: e.rel_err)
+        return report.max_rel_err, (f"{len(report.failures)} entries over tol, "
+                                    f"worst {worst.name}[{worst.row},{worst.col}]")
 
-        def f(trainables):
-            return grads_batch(batch, params.replaced(dict(trainables)))
-
-        report = grad_check(f, params.trainables(), step=step, tol=tol)
-        res.max_err = max(res.max_err, report.max_rel_err)
-        if not report.ok:
-            worst = max(report.failures, key=lambda e: e.rel_err)
-            res.failures.append(
-                f"case {i}: {len(report.failures)} entries over tol, worst "
-                f"{worst.name}[{worst.row},{worst.col}] rel_err={worst.rel_err:.3e}"
-            )
-    return res
+    return _suite("gradient-check", cases, seed, tol, case)
 
 
 def run_all(seed: int = 0, quick: bool = False) -> list[SuiteResult]:

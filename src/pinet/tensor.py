@@ -5,17 +5,18 @@ threads. The model in `model.py` differentiates itself: it composes
 `propagate` and `attention_pool`, each of which returns its value and a
 hand-written vjp, with plain numpy products, relu, softmax and
 cross-entropy, and runs the VJPs in reverse order. `grad_check` holds
-such a gradient to central finite differences.
+such a gradient, taken once, to central differences of the loss alone.
 
-Matrices stay 2-D. A batch of B graphs padded to N nodes travels as one
-(B*N) x F stack of node states, graph b in rows b*N..(b+1)*N-1, beside
-the `graph.Batch` that `graph.make_batch` built: a B x N x N adjacency
-stack, its degree column and a B x N node mask. `propagate` reads the
-Batch and applies the At(p, q) operator of every graph without
-materialising it, and `attention_pool` turns the attention-tower stack
-into per-graph pooled rows. At(p, q) itself is built in plain numpy by
-`graph.propagation_matrix`; the `fused-propagation` selfcheck holds
-`propagate` to it in value and to its closed-form derivatives in p and q.
+A batch of B graphs padded to N nodes travels as one (B*N) x F stack of
+node states, graph b in rows b*N..(b+1)*N-1, beside the `graph.Batch`
+that `graph.make_batch` built: the features stack, a B x N x N adjacency
+stack, its degree column and a B x N node mask, all plain read-only
+arrays. Both ops read the Batch: `propagate` applies the At(p, q)
+operator of every graph without materialising it, and `attention_pool`
+turns the attention-tower stack into per-graph pooled rows. At(p, q)
+itself is built in plain numpy by `graph.propagation_matrix`; the
+`fused-propagation` selfcheck holds `propagate` to it in value and to
+its closed-form derivatives in p and q.
 
 `Tape`, `Tape.leaf` and `backward` are a small adapter over that chain
 for callers that drive a step through `model.loss_batch`: the loss of
@@ -31,7 +32,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DegenerateMaskError, DomainError, NumericalError, ShapeError, TapeError
+from .errors import DomainError, NumericalError, ShapeError, TapeError
 
 
 def _typed_array(values, kinds: str, what: str) -> np.ndarray:
@@ -250,14 +251,13 @@ def attention_softmax(pre: np.ndarray, mask: np.ndarray, axis: str) -> np.ndarra
     """Attention weights for a B x N x F stack of tower outputs.
 
     axis="nodes": each (graph, feature) column becomes a distribution over
-    the graph's real nodes (mask True); axis="features": each node's row
-    becomes a distribution over the F positions and padded rows are then
-    zeroed. Padded nodes get exactly 0 either way. Returns a new array.
+    the graph's real nodes (mask True; `make_batch` marks n_real >= 1 of
+    them); axis="features": each node's row becomes a distribution over
+    the F positions and padded rows are then zeroed. Padded nodes get
+    exactly 0 either way. Returns a new array.
     """
     m = mask[:, :, None]
     if axis == "nodes":
-        if not mask.any(axis=1).all():
-            raise DegenerateMaskError("softmax slice has every position masked")
         e = np.where(m, pre, -np.inf)
         e -= e.max(axis=1, keepdims=True)
         np.exp(e, out=e)
@@ -272,25 +272,23 @@ def attention_softmax(pre: np.ndarray, mask: np.ndarray, axis: str) -> np.ndarra
     return e
 
 
-def attention_pool(pre: np.ndarray, z: np.ndarray, mask, axis: str):
-    """Per-graph softmax(pre)^T @ z over a stack, one graph per output row.
+def attention_pool(batch, pre: np.ndarray, z: np.ndarray, axis: str):
+    """Per-graph softmax(pre)^T @ z over the stacks of a `graph.Batch`, one
+    graph per output row.
 
-    `pre` is the (B*N) x F attention-tower stack, `z` the (B*N) x F'
-    features-tower stack and `mask` the B x N real-node mask. The weights
-    are `attention_softmax(pre, mask, axis)`; row b of the B x (F*F')
-    result is graph b's F x F' pooled matrix in row-major order. Returns
-    the result and its vjp `g -> (gpre, gz)`.
+    `pre` is the (B*N) x F attention-tower stack and `z` the (B*N) x F'
+    features-tower stack. The weights are `attention_softmax(pre,
+    batch.mask, axis)`; row b of the B x (F*F') result is graph b's
+    F x F' pooled matrix in row-major order. Returns the result and its
+    vjp `g -> (gpre, gz)`.
     """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2:
-        raise ShapeError(f"attention_pool: mask must be B x N, got shape {mask.shape}")
-    b, n = mask.shape
+    b, n = batch.mask.shape
     if pre.shape[0] != b * n or z.shape[0] != b * n:
         raise ShapeError(
             f"attention_pool: {pre.shape[0]} and {z.shape[0]} rows for {b} graphs of {n} nodes"
         )
     f, fz = pre.shape[1], z.shape[1]
-    att = attention_softmax(pre.reshape(b, n, f), mask, axis)
+    att = attention_softmax(pre.reshape(b, n, f), batch.mask, axis)
     z3 = z.reshape(b, n, fz)
     pooled = np.matmul(att.transpose(0, 2, 1), z3)
     red, dots = (1, "bnf,bnf->bf") if axis == "nodes" else (2, "bnf,bnf->bn")
@@ -332,36 +330,35 @@ class GradCheckReport:
 
 
 def grad_check(
-    f: Callable[[Mapping[str, Mat]], tuple[float, Mapping[str, Mat]]],
+    loss: Callable[[Mapping[str, Mat]], float],
+    grads: Mapping[str, Mat],
     params: Mapping[str, Mat],
     step: float = 1e-5,
     tol: float = 1e-4,
 ) -> GradCheckReport:
-    """Compare the gradients f returns with central finite differences.
+    """Compare analytic gradients with central finite differences of `loss`.
 
-    `f` maps a mapping of parameter Mats to (loss, grads): a float and a
-    name -> Mat mapping, a missing name meaning a zero gradient. It is
-    called once at `params` for the analytic gradients and then twice
-    per parameter entry at x +- step. The relative error denominator is
+    `grads` maps names to the analytic gradients at `params`, a missing
+    name meaning a zero gradient. `loss` maps a mapping of parameter Mats
+    to a float; it is called twice per parameter entry, at x +- step, so
+    it should compute the loss alone. The relative error denominator is
     max(1, |analytic|, |numeric|).
     """
     if step <= 0:
         raise DomainError("grad_check: step must be positive")
-    _, analytic = f(params)
-
     report = GradCheckReport(step=step, tol=tol)
     base = dict(params)
     for name, mat in params.items():
-        an = analytic[name].data if name in analytic else np.zeros(mat.shape)
+        an = grads[name].data if name in grads else np.zeros(mat.shape)
         for i in range(mat.rows):
             for j in range(mat.cols):
                 fd = np.array(mat.data)
                 fd[i, j] = mat.data[i, j] + step
                 base[name] = Mat(fd)
-                lp = f(base)[0]
+                lp = loss(base)
                 fd[i, j] = mat.data[i, j] - step
                 base[name] = Mat(fd)
-                lm = f(base)[0]
+                lm = loss(base)
                 num = (lp - lm) / (2.0 * step)
                 rel = abs(an[i, j] - num) / max(1.0, abs(an[i, j]), abs(num))
                 report.checked += 1

@@ -7,6 +7,7 @@ the echoed configuration line.
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -451,8 +452,8 @@ def test_selfcheck_mutation_hook_fails_padding(capsys, monkeypatch):
     from pinet import model
 
     pool = model.attention_pool
-    monkeypatch.setattr(model, "attention_pool",
-                        lambda pre, z, mask, axis: pool(pre, z, np.ones_like(mask), axis))
+    monkeypatch.setattr(model, "attention_pool", lambda batch, pre, z, axis: pool(
+        replace(batch, mask=np.ones_like(batch.mask)), pre, z, axis))
     code, stdout, _ = _run(capsys, ["selfcheck", "--quick"])
     assert code == 2
     lines = stdout.splitlines()

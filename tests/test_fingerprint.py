@@ -1,5 +1,6 @@
-"""`tools/fingerprint.py` runs against the package and prints its two
-sha256 lines: the gen-iso bytes, then the seeded fits."""
+"""`tools/fingerprint.py` runs against the package and prints its three
+sha256 lines: the gen-iso bytes, the seeded fits, then the selfcheck
+results."""
 
 import os
 import re
@@ -10,11 +11,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_fingerprint_prints_two_digests():
+def test_fingerprint_prints_three_digests():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "fingerprint.py")], cwd=ROOT,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     lines = proc.stdout.splitlines()
-    assert len(lines) == 2
+    assert len(lines) == 3
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in lines)

@@ -105,7 +105,7 @@ def test_graph_scalars_accept_numpy_integers():
     g = graph_from_edges(np.int64(3), [(0, 1)], label=np.uint8(1), n_real=np.int32(2))
     assert (g.n, g.n_real, g.label) == (3, 2, 1)
     assert type(g.n_real) is int and type(g.label) is int
-    np.testing.assert_array_equal(make_batch([g], np.int64(2)).labels.data, [[0.0, 1.0]])
+    np.testing.assert_array_equal(make_batch([g], np.int64(2)).labels, [[0.0, 1.0]])
     assert len(random_permutation(np.int64(4), 0)) == 4
     assert pad_graph(g, np.int32(5)).n == 5
     assert len(_stratified_kfold_k(np.uint8(2))) == 2
@@ -370,14 +370,14 @@ def test_pad_below_size_rejected():
 
 def test_batch_single_graph_one_hot():
     b = make_batch([_triangle()], class_count=2)
-    np.testing.assert_array_equal(b.labels.data, [[1.0, 0.0]])
+    np.testing.assert_array_equal(b.labels, [[1.0, 0.0]])
 
 
 def test_batch_two_graphs_labels():
     g1 = graph_from_edges(3, [(0, 1)], label=1)
     g0 = graph_from_edges(3, [(0, 1)], label=0)
     b = make_batch([g1, g0], class_count=2)
-    np.testing.assert_array_equal(b.labels.data, [[0.0, 1.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(b.labels, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_batch_pads_to_largest_size():
@@ -391,6 +391,7 @@ def test_batch_pads_to_largest_size():
               moved]
     b = make_batch(graphs, class_count=2)
     assert b.adj.shape == (3, 6, 6) and b.x.shape == (18, 1) and b.mask.shape == (3, 6)
+    assert not any(a.flags.writeable for a in (b.labels, b.adj, b.x, b.mask, b.deg))
     np.testing.assert_array_equal(b.mask, [[1, 1, 1, 0, 0, 0], [1, 1, 1, 1, 0, 0],
                                            [1, 1, 1, 1, 0, 0]])
     for axis in ("nodes", "features"):

@@ -1,4 +1,4 @@
-"""Print two sha256 digests that pin down what the package computes.
+"""Print three sha256 digests that pin down what the package computes.
 
 Line 1 hashes the bytes `gen-iso` writes (dataset and provenance) for
 seeds 0, 3 and 7 at 20 nodes, 3 classes and 20 copies per class.
@@ -9,7 +9,10 @@ seed-0 gen-iso set, and a mixed-size set padded to its largest graph.
 Each is fitted in learned and in fixed mode, on the nodes and on the
 features attention axis.
 
-A change that should not alter any result prints the same two lines as
+Line 3 hashes what `selfcheck.run_all()` reports at seed 0: each suite's
+name, case count, tolerance, exact max error and verdict.
+
+A change that should not alter any result prints the same three lines as
 its parent. Run it against a source tree with
 
     PYTHONPATH=<tree>/src python tools/fingerprint.py
@@ -26,6 +29,7 @@ from pinet.datagen import GenParams, generate_iso_dataset, sample_er_connected, 
 from pinet.dataio import save_dataset
 from pinet.graph import pad_graph
 from pinet.model import PiNetConfig, save_params
+from pinet.selfcheck import run_all
 from pinet.train import TrainConfig, evaluate, fit
 
 
@@ -67,11 +71,19 @@ def fit_digest(tmp: Path) -> str:
     return h.hexdigest()
 
 
+def selfcheck_digest() -> str:
+    h = hashlib.sha256()
+    for r in run_all():
+        h.update(repr((r.name, r.cases, r.tol, r.max_err.hex(), r.ok)).encode())
+    return h.hexdigest()
+
+
 def main():
     with tempfile.TemporaryDirectory() as d:
         tmp = Path(d)
         print(f"{gen_iso_digest(tmp)}  gen-iso n=20 c=3 x20, seeds 0 3 7")
         print(f"{fit_digest(tmp)}  fit, evaluate and checkpoints")
+    print(f"{selfcheck_digest()}  selfcheck run_all, seed 0")
 
 
 if __name__ == "__main__":
