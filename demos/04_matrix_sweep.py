@@ -7,20 +7,16 @@
 # `pinet sweep` subcommand runs the same grid on any saved dataset.
 
 from pinet import GenParams, PiNetConfig, TrainConfig, cross_validate, generate_iso_dataset
+from pinet.graph import CORNERS
 
 # 1. A small structure-only dataset (shared degree sequence, see the
 #    isomorphism demo for the idea).
 ds, _ = generate_iso_dataset(GenParams(n_nodes=12, classes=2, copies=8, edge_prob=0.3, seed=1))
 print(f"dataset: {len(ds)} graphs, {ds.class_count} classes, {ds.n_pad} nodes each\n")
 
-# 2. Five contestants.
-modes = [
-    ("fixed-1-0", dict(pq_mode="fixed", fixed_p=1.0, fixed_q=0.0)),
-    ("fixed-1-1", dict(pq_mode="fixed", fixed_p=1.0, fixed_q=1.0)),
-    ("fixed-0-0", dict(pq_mode="fixed", fixed_p=0.0, fixed_q=0.0)),
-    ("fixed-0-1", dict(pq_mode="fixed", fixed_p=0.0, fixed_q=1.0)),
-    ("learned", dict(pq_mode="learned")),
-]
+# 2. Five contestants: the four corners, then the learned blend.
+modes = [(f"fixed-{p:g}-{q:g}", dict(pq_mode="fixed", fixed_p=p, fixed_q=q)) for p, q in CORNERS]
+modes.append(("learned", dict(pq_mode="learned")))
 
 # 3. Two-fold cross-validation per mode, identical seeds throughout, so
 #    the only difference between rows is the propagation matrix.

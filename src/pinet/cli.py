@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
+import os
 import sys
 
 import numpy as np
 
 from . import datagen, dataio, model, selfcheck, stats, train
 from .errors import DataFormatError, DomainError, GenerationError, NumericalError, ShapeError
+from .graph import CORNERS
 from .tensor import _pq_scalar
 
 
@@ -29,32 +30,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _open_prob(text: str) -> float:
-    x = float(text)
-    if not 0.0 < x < 1.0:
-        raise argparse.ArgumentTypeError(f"{x} is not inside (0, 1)")
-    return x
+def _field(cls, name: str, convert=int, **given) -> dict:
+    """The argparse `type` and `default` of a flag that sets config field
+    `name` of `cls`. The text is converted, then checked by building the
+    config (its other required fields from `given`), so the config's own
+    rule decides and its DomainError becomes a usage error; the default
+    is the field's."""
+    def parse(text):
+        try:
+            return getattr(cls(**given, **{name: convert(text)}), name)
+        except DomainError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
 
-
-def _pos_int(text: str) -> int:
-    x = int(text)
-    if x < 1:
-        raise argparse.ArgumentTypeError(f"{x} is not a positive integer")
-    return x
-
-
-def _pos_float(text: str) -> float:
-    x = float(text)
-    if not 0 < x < math.inf:
-        raise argparse.ArgumentTypeError(f"{x} is not a positive finite number")
-    return x
-
-
-def _seed(text: str) -> int:
-    x = int(text)
-    if x < 0:
-        raise argparse.ArgumentTypeError(f"{x} is not a non-negative integer")
-    return x
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return {"type": parse, "default": cls.__dataclass_fields__[name].default}
 
 
 def _pq_spec(text: str):
@@ -77,6 +66,8 @@ def _sizes_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     if not sizes or min(sizes) < 1:
         raise argparse.ArgumentTypeError("sizes must be positive integers")
+    if len(set(sizes)) < len(sizes):
+        raise argparse.ArgumentTypeError(f"sizes must be distinct, got {text!r}")
     return sizes
 
 
@@ -89,23 +80,39 @@ def _add_data_flags(p: _Parser):
 def _add_hyper_flags(p: _Parser, pq_default="learned"):
     """Training flags; `pq_default=None` leaves out `--pq` for commands
     that choose p, q themselves."""
-    p.add_argument("--epochs", type=_pos_int, default=200)
-    p.add_argument("--batch-size", type=_pos_int, default=50)
-    p.add_argument("--lr", type=_pos_float, default=1e-3)
-    p.add_argument("--f0", type=_pos_int, default=100, help="first layer width")
-    p.add_argument("--f1", type=_pos_int, default=64, help="second layer width")
-    p.add_argument("--attention-axis", choices=("nodes", "features"), default="nodes")
+    p.add_argument("--epochs", **_field(train.TrainConfig, "epochs"))
+    p.add_argument("--batch-size", **_field(train.TrainConfig, "batch_size"))
+    p.add_argument("--lr", **_field(train.TrainConfig, "learning_rate", float))
+    p.add_argument("--f0", **_field(model.PiNetConfig, "F0", d=1, C=1), help="first layer width")
+    p.add_argument("--f1", **_field(model.PiNetConfig, "F1", d=1, C=1), help="second layer width")
+    p.add_argument("--attention-axis", **_field(model.PiNetConfig, "attention_axis", str, d=1, C=1))
     if pq_default is not None:
         p.add_argument("--pq", type=_pq_spec, default=_pq_spec(pq_default),
                        help="'learned' or fixed 'P,Q' used by all message-passing layers "
                             f"(default: {pq_default})")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", **_field(train.TrainConfig, "seed"))
 
 
 def _echo_config(args, extra=None):
     cfg = {k: v for k, v in vars(args).items() if k != "func"}
     cfg.update(extra or {})
     print("config:", json.dumps(cfg, sort_keys=True, default=str))
+
+
+def _check_outputs(inputs: dict, outputs: dict):
+    """Refuse, before any file is read or written, an output that names
+    an input or another output, or whose directory does not exist. Both
+    map a flag to its path; an unset path is skipped."""
+    seen = {os.path.realpath(path): flag for flag, path in inputs.items() if path}
+    for flag, path in outputs.items():
+        if not path:
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            raise DomainError(f"{flag} {path} names the same file as {seen[real]}")
+        if not os.path.isdir(os.path.dirname(real)):
+            raise DomainError(f"{flag} {path}: no such directory")
+        seen[real] = flag
 
 
 def _load(args) -> dataio.Dataset:
@@ -119,14 +126,10 @@ def _load(args) -> dataio.Dataset:
 
 
 def _model_config(args, ds: dataio.Dataset, pq) -> model.PiNetConfig:
-    fixed = pq != "learned"
+    fixed = {} if pq == "learned" else {"pq_mode": "fixed", "fixed_p": pq[0], "fixed_q": pq[1]}
     return model.PiNetConfig(
         d=ds.d, C=ds.class_count, F0=args.f0, F1=args.f1,
-        attention_axis=args.attention_axis,
-        pq_mode="fixed" if fixed else "learned",
-        fixed_p=pq[0] if fixed else 1.0,
-        fixed_q=pq[1] if fixed else 0.0,
-        seed=args.seed,
+        attention_axis=args.attention_axis, seed=args.seed, **fixed,
     )
 
 
@@ -139,6 +142,7 @@ def _train_config(args) -> train.TrainConfig:
 
 def cmd_gen_iso(args) -> int:
     prov_out = args.provenance_out or f"{args.out}.prov.json"
+    _check_outputs({}, {"--out": args.out, "--provenance-out": prov_out})
     _echo_config(args, {"provenance_out": prov_out})
     params = datagen.GenParams(
         n_nodes=args.nodes, classes=args.classes, copies=args.copies,
@@ -154,6 +158,7 @@ def cmd_gen_iso(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_outputs({"--data": args.data}, {"--params-out": args.params_out})
     ds = _load(args)
     _echo_config(args, {"dataset": ds.name, "graphs": len(ds), "d": ds.d, "C": ds.class_count})
     mc = _model_config(args, ds, args.pq)
@@ -170,6 +175,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_cv(args) -> int:
+    _check_outputs({"--data": args.data}, {"--out": args.out})
     ds = _load(args)
     _echo_config(args, {"dataset": ds.name, "graphs": len(ds), "d": ds.d, "C": ds.class_count})
     mc = _model_config(args, ds, args.pq)
@@ -191,6 +197,7 @@ def cmd_iso_exp(args) -> int:
     if not args.data:
         raise DomainError("iso-exp requires --data (a generated dataset)")
     prov_path = args.provenance or f"{args.data}.prov.json"
+    _check_outputs({"--data": args.data, "--provenance": prov_path}, {"--out": args.out})
     ds = dataio.load_dataset(args.data)
     try:
         prov = datagen.load_provenance(prov_path)
@@ -208,6 +215,8 @@ def cmd_iso_exp(args) -> int:
     for i, g in enumerate(ds.graphs):
         per_class.setdefault(g.label, []).append(i)
     smallest = min(len(v) for v in per_class.values())
+    if args.trials < 1:
+        raise DomainError(f"trials must be an integer >= 1, got {args.trials}")
     for size in args.sizes:
         if size > smallest:
             raise DomainError(
@@ -238,16 +247,11 @@ def cmd_iso_exp(args) -> int:
     return 0
 
 
-SWEEP_MODES = (
-    ("fixed-0-0", (0.0, 0.0)),
-    ("fixed-0-1", (0.0, 1.0)),
-    ("fixed-1-0", (1.0, 0.0)),
-    ("fixed-1-1", (1.0, 1.0)),
-    ("learned", "learned"),
-)
+SWEEP_MODES = (*((f"fixed-{p:g}-{q:g}", (p, q)) for p, q in CORNERS), ("learned", "learned"))
 
 
 def cmd_sweep(args) -> int:
+    _check_outputs({"--data": args.data}, {"--out": args.out})
     ds = _load(args)
     _echo_config(args, {"dataset": ds.name, "graphs": len(ds), "d": ds.d, "C": ds.class_count})
     tc = _train_config(args)
@@ -290,11 +294,11 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("gen-iso", help="generate the isomorphism-classification dataset")
-    p.add_argument("--nodes", type=_pos_int, default=50)
-    p.add_argument("--classes", type=_pos_int, default=5)
-    p.add_argument("--copies", type=_pos_int, default=100, help="graphs per class")
-    p.add_argument("--edge-prob", type=_open_prob, default=0.15)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--nodes", **_field(datagen.GenParams, "n_nodes"))
+    p.add_argument("--classes", **_field(datagen.GenParams, "classes"))
+    p.add_argument("--copies", **_field(datagen.GenParams, "copies"), help="graphs per class")
+    p.add_argument("--edge-prob", **_field(datagen.GenParams, "edge_prob", float))
+    p.add_argument("--seed", **_field(datagen.GenParams, "seed"))
     p.add_argument("--out", required=True)
     p.add_argument("--provenance-out", default=None)
     p.set_defaults(func=cmd_gen_iso)
@@ -308,7 +312,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("cv", help="k-fold cross-validation")
     _add_data_flags(p)
     _add_hyper_flags(p)
-    p.add_argument("--k", type=_pos_int, default=10)
+    p.add_argument("--k", type=int, default=10)
     p.add_argument("--out", default=None, help="per-fold CSV")
     p.set_defaults(func=cmd_cv)
 
@@ -318,7 +322,7 @@ def build_parser() -> _Parser:
                    help="provenance file (default: <data>.prov.json)")
     p.add_argument("--sizes", type=_sizes_list, default=[1, 2, 5, 10],
                    help="comma-separated training examples per class")
-    p.add_argument("--trials", type=_pos_int, default=10)
+    p.add_argument("--trials", type=int, default=10)
     # The unnormalized adjacency corner separates the structure-only classes;
     # the 0.5 starting point of learned mode sits in a flat region here.
     _add_hyper_flags(p, pq_default="1,0")
@@ -328,12 +332,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="cross-validate the four fixed (p,q) corners and learned mode")
     _add_data_flags(p)
     _add_hyper_flags(p, pq_default=None)
-    p.add_argument("--k", type=_pos_int, default=10)
+    p.add_argument("--k", type=int, default=10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("selfcheck", help="run the randomized consistency suites")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", **_field(train.TrainConfig, "seed"))
     p.add_argument("--quick", action="store_true", help="smaller case counts")
     p.set_defaults(func=cmd_selfcheck)
 

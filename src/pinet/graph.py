@@ -272,6 +272,11 @@ def make_batch(graphs, class_count: int) -> Batch:
     return Batch(graphs, onehot, adj, x, mask, deg)
 
 
+# The four (p, q) extremes, where At(p, q) is A, A+I or their degree-
+# normalised forms (see `propagation_matrix`).
+CORNERS = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
+
+
 def propagation_matrix(a: Mat, p, q) -> Mat:
     """Message-passing matrix (pI+(1-p)D)^{-1/2} (A+qI) (pI+(1-p)D)^{-1/2}.
 

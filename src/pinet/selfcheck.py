@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import (
+    CORNERS,
     LabeledGraph,
+    graph_from_edges,
     make_batch,
     pad_graph,
     permute_graph,
@@ -69,17 +71,19 @@ def _random_adjacency(rng, n: int, min_degree: int = 0) -> np.ndarray:
     raise AssertionError("could not sample an adjacency with the requested degrees")
 
 
+def _graph(a: np.ndarray, x: np.ndarray, n: int, label: int = 0) -> LabeledGraph:
+    """The graph with adjacency `a` and features `x` on its real nodes,
+    padded to `n` nodes."""
+    edges = np.argwhere(np.triu(a, k=1))
+    return pad_graph(graph_from_edges(len(a), edges, label, Mat(x)), n)
+
+
 def _random_graph(rng, n_lo=2, n_hi=10, d=1, classes=2, pad_max=0) -> LabeledGraph:
     n_real = int(rng.integers(n_lo, n_hi + 1))
     a = _random_adjacency(rng, n_real)
     x = rng.normal(size=(n_real, d))
-    pad = int(rng.integers(0, pad_max + 1))
-    n = n_real + pad
-    adj = np.zeros((n, n))
-    adj[:n_real, :n_real] = a
-    feats = np.zeros((n, d))
-    feats[:n_real] = x
-    return LabeledGraph(n_real, Mat(adj), Mat(feats), int(rng.integers(0, classes)))
+    n = n_real + int(rng.integers(0, pad_max + 1))
+    return _graph(a, x, n, int(rng.integers(0, classes)))
 
 
 def _random_params(rng, d, classes, f0=7, f1=5, attention_axis="nodes"):
@@ -176,37 +180,31 @@ def check_fused_layer(cases: int = 60, seed: int = 0, tol: float = 1e-12) -> Sui
     node counts, carry padded and isolated nodes, and cover the four
     (p, q) corners and interior points. Errors are relative to
     max(1, |reference|)."""
-    corners = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
-
     def case(rng, i):
         b = int(rng.integers(1, 6))
         f = int(rng.integers(1, 5))
         sizes = rng.integers(1, 10, size=b)
         n = int(sizes.max() + rng.integers(0, 4))
-        adj = np.zeros((b, n, n))
-        for k, n_real in enumerate(sizes):
+        adjs = []
+        for n_real in sizes:
             a = _random_adjacency(rng, int(n_real))
             if n_real > 1 and rng.random() < 0.5:  # isolate one real node
                 v = int(rng.integers(0, n_real))
                 a[v, :] = a[:, v] = 0.0
-            adj[k, :n_real, :n_real] = a
-        h = np.zeros((b, n, f))
-        for k, n_real in enumerate(sizes):
-            h[k, :n_real] = rng.normal(size=(n_real, f))
-        own = np.where(sizes < sizes.max(), sizes, n)  # make_batch pads the smaller graphs
-        batch = make_batch([LabeledGraph(int(m), Mat(a[:k, :k]), Mat(x[:k]), 0)
-                            for m, k, a, x in zip(sizes, own, adj, h)], 1)
+            adjs.append(a)
+        graphs = [_graph(a, rng.normal(size=(len(a), f)), n) for a in adjs]
+        batch = make_batch(graphs, 1)
         g = rng.normal(size=(b * n, f))
-        pv, qv = corners[i] if i < len(corners) else rng.uniform(0.0, 1.0, size=2)
-        if i >= len(corners) and i % 3 == 0:
+        pv, qv = CORNERS[i] if i < len(CORNERS) else rng.uniform(0.0, 1.0, size=2)
+        if i >= len(CORNERS) and i % 3 == 0:
             pv = 0.0  # p = 0 leaves isolated nodes with no scale at all
         pv, qv = float(pv), float(qv)
 
         out, vjp = propagate(batch, batch.x, pv, qv)
         got = dict(zip(("out", "h", "p", "q"), (out, *vjp(g, True))))
         parts = [
-            _closed_form(adj[k], h[k], pv, qv, g[k * n:(k + 1) * n])
-            for k in range(b)
+            _closed_form(gk.adjacency.data, gk.features.data, pv, qv, g[k * n:(k + 1) * n])
+            for k, gk in enumerate(graphs)
         ]
         want = {k: np.concatenate([one[k] for one in parts]) for k in ("out", "h")}
         want.update({k: sum(one[k] for one in parts) for k in ("p", "q")})

@@ -92,12 +92,15 @@ def fit(
 ) -> FitResult:
     """Train on the given graphs; returns final parameters and the total
     batch-summed loss per epoch. Deterministic per seed. An initial
-    parameter set may be passed to continue training."""
+    parameter set, built for `model_config`, may be passed to continue
+    training."""
     graphs = list(graphs)
     if not graphs:
         raise DomainError("fit needs a non-empty dataset")
     if params is None:
         params = init_params(model_config)
+    elif params.config != model_config:
+        raise DomainError(f"params were built for {params.config}, not for {model_config}")
     rng = np.random.default_rng(config.seed)
     state = AdamState()
     order = np.arange(len(graphs))

@@ -7,12 +7,13 @@ the echoed configuration line.
 
 import csv
 import json
-from dataclasses import replace
+import os
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from pinet import cli, train
+from pinet import cli, datagen, train
 from pinet.dataio import Dataset, load_dataset, save_dataset
 from pinet.graph import graph_from_edges
 from pinet.model import PiNetConfig
@@ -208,6 +209,15 @@ def test_cv_k_exceeding_dataset_exits_one(capsys, tmp_path):
     assert "error" in err
 
 
+def test_cv_k_one_exits_one_before_any_fold(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(train, "fit", lambda *a, **k: pytest.fail("fit was called"))
+    data = _toy_dataset_file(tmp_path)
+    code, stdout, err = _run(capsys, ["cv", "--data", str(data), "--k", "1", "--epochs", "1"])
+    assert code == 1
+    assert err == "error: k must be an integer >= 2, got 1\n"
+    assert "fold" not in stdout
+
+
 # -- iso-exp ----------------------------------------------------------------------
 
 @pytest.fixture()
@@ -256,6 +266,33 @@ def test_iso_exp_size_leaving_nothing_held_out_exits_one_before_fitting(
     assert code == 1
     assert err.startswith("error:") and "train size 4" in err and "held-out" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_iso_exp_zero_trials_exits_one_before_fitting(capsys, tmp_path, monkeypatch, tiny_iso):
+    monkeypatch.setattr(train, "fit", lambda *a, **k: pytest.fail("fit was called"))
+    code, stdout, err = _run(capsys, [
+        "iso-exp", "--data", str(tiny_iso), "--sizes", "1", "--trials", "0",
+        "--epochs", "1", "--out", str(tmp_path / "x.csv"),
+    ])
+    assert code == 1
+    assert err == "error: trials must be an integer >= 1, got 0\n"
+    assert not [line for line in stdout.splitlines() if line.startswith("size ")]
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("sizes, why", [
+    ("1,1", "sizes must be distinct, got '1,1'"),
+    ("0,1", "sizes must be positive integers"),
+    ("1,x", "expected comma-separated integers, got '1,x'"),
+])
+def test_iso_exp_bad_sizes_exit_one_while_parsing(capsys, tmp_path, tiny_iso, sizes, why):
+    # a repeated size would fit every trial twice and write duplicate rows
+    code, stdout, err = _run(capsys, [
+        "iso-exp", "--data", str(tiny_iso), "--sizes", sizes, "--out", str(tmp_path / "x.csv"),
+    ])
+    assert code == 1
+    assert f"argument --sizes: {why}" in err
+    assert stdout == ""
 
 
 def _iso_exp_run(capsys, data, out, *extra):
@@ -413,6 +450,93 @@ def test_sweep_has_no_pq_flag(capsys, tmp_path):
     ])
     assert code == 1
     assert "unrecognized arguments: --pq" in err
+
+
+# -- outputs ------------------------------------------------------------------------
+
+def test_gen_iso_output_clash_writes_nothing(capsys, tmp_path):
+    out = tmp_path / "d.jsonl"
+    code, stdout, err = _run(capsys, [
+        "gen-iso", "--nodes", "8", "--classes", "2", "--copies", "2",
+        "--out", str(out), "--provenance-out", str(tmp_path / "sub" / ".." / "d.jsonl"),
+    ])
+    assert code == 1
+    assert err.startswith("error: --provenance-out ") and "same file as --out" in err
+    assert stdout == ""
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv, flag, named", [
+    (["iso-exp", "--sizes", "1", "--trials", "1", "--out"], "--out", "--data"),
+    (["iso-exp", "--sizes", "1", "--trials", "1", "--out"], "--out", "--provenance"),
+    (["cv", "--k", "2", "--out"], "--out", "--data"),
+    (["sweep", "--k", "2", "--out"], "--out", "--data"),
+    (["train", "--params-out"], "--params-out", "--data"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_output_naming_an_input_leaves_it_unchanged(capsys, tmp_path, monkeypatch, tiny_iso,
+                                                    argv, flag, named):
+    monkeypatch.setattr(train, "fit", lambda *a, **k: pytest.fail("fit was called"))
+    target = {"--data": tiny_iso, "--provenance": tmp_path / "iso.jsonl.prov.json"}[named]
+    before = target.read_bytes()
+    code, stdout, err = _run(capsys, [
+        *argv, str(target), "--data", str(tiny_iso), "--epochs", "1", "--f0", "3", "--f1", "2",
+    ])
+    assert code == 1
+    assert err == f"error: {flag} {target} names the same file as {named}\n"
+    assert stdout == ""
+    assert target.read_bytes() == before
+
+
+def test_cv_output_in_missing_directory_exits_one_before_any_fold(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(train, "fit", lambda *a, **k: pytest.fail("fit was called"))
+    data = _toy_dataset_file(tmp_path, copies=2)
+    out = tmp_path / "missing" / "cv.csv"
+    code, stdout, err = _run(capsys, [
+        "cv", "--data", str(data), "--k", "2", "--epochs", "1", "--out", str(out),
+    ])
+    assert code == 1
+    assert err == f"error: --out {out}: no such directory\n"
+    assert "fold" not in stdout
+    assert not out.parent.exists()
+
+
+# -- config-backed flags --------------------------------------------------------------
+
+_CONFIG_FLAGS = [
+    ("gen-iso", "--nodes", datagen.GenParams, "n_nodes", "1"),
+    ("gen-iso", "--classes", datagen.GenParams, "classes", "1"),
+    ("gen-iso", "--copies", datagen.GenParams, "copies", "0"),
+    ("gen-iso", "--edge-prob", datagen.GenParams, "edge_prob", "1.5"),
+    ("gen-iso", "--seed", datagen.GenParams, "seed", "-1"),
+    ("train", "--epochs", train.TrainConfig, "epochs", "0"),
+    ("train", "--batch-size", train.TrainConfig, "batch_size", "0"),
+    ("train", "--lr", train.TrainConfig, "learning_rate", "nan"),
+    ("train", "--f0", PiNetConfig, "F0", "0"),
+    ("train", "--f1", PiNetConfig, "F1", "0"),
+    ("train", "--attention-axis", PiNetConfig, "attention_axis", "rows"),
+    ("train", "--seed", train.TrainConfig, "seed", "-1"),
+    ("selfcheck", "--seed", train.TrainConfig, "seed", "-1"),
+]
+
+
+@pytest.mark.parametrize("command, flag, cls, name, refused", _CONFIG_FLAGS,
+                         ids=[f"{command} {flag}" for command, flag, *_ in _CONFIG_FLAGS])
+def test_config_flag_takes_rule_and_default_from_its_config(capsys, tmp_path, command, flag,
+                                                            cls, name, refused):
+    # Each flag's default is its config field's, and a value the config
+    # refuses is refused while parsing, before the config line is echoed.
+    # The command would otherwise run: gen-iso has --out, train a dataset.
+    rest = {"gen-iso": ["--out", str(tmp_path / "d.jsonl")],
+            "train": ["--data", str(_toy_dataset_file(tmp_path))],
+            "selfcheck": ["--quick"]}[command]
+    args = cli.build_parser().parse_args([command, *rest])
+    default = {f.name: f.default for f in fields(cls)}[name]
+    assert getattr(args, flag[2:].replace("-", "_")) == default
+    short = ["--epochs", "1"] if command == "train" else []  # a later --epochs overrides it
+    code, stdout, err = _run(capsys, [command, *rest, *short, flag, refused])
+    assert code == 1
+    assert f"argument {flag}: {name} must " in err
+    assert "config:" not in stdout
 
 
 # -- numeric flags ------------------------------------------------------------------

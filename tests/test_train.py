@@ -1,6 +1,7 @@
 """Tests for the optimizer, the fit loop, folds, and cross-validation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,6 +124,18 @@ def test_fit_pq_stay_in_unit_interval():
 def test_fit_rejects_empty():
     with pytest.raises(DomainError):
         fit([], TrainConfig(), PiNetConfig(d=1, C=2, F0=2, F1=2))
+
+
+@pytest.mark.parametrize("other", [
+    {"C": 1}, {"C": 3}, {"pq_mode": "fixed"}, {"attention_axis": "features"},
+], ids=lambda o: "-".join(map(str, *o.items())))
+def test_fit_rejects_params_built_for_another_config(other):
+    # a class-count mismatch used to surface as an untyped numpy error,
+    # a mode or axis mismatch to train silently by the params' own config
+    mc = PiNetConfig(d=1, C=2, F0=4, F1=3, seed=0)
+    params = init_params(replace(mc, **other))
+    with pytest.raises(DomainError, match="params were built for PiNetConfig"):
+        fit(_toy_dataset(2), TrainConfig(epochs=1), mc, params)
 
 
 def test_train_config_validation():

@@ -1,4 +1,4 @@
-"""Print three sha256 digests that pin down what the package computes.
+"""Print four sha256 digests that pin down what the package computes.
 
 Line 1 hashes the bytes `gen-iso` writes (dataset and provenance) for
 seeds 0, 3 and 7 at 20 nodes, 3 classes and 20 copies per class.
@@ -12,7 +12,12 @@ features attention axis.
 Line 3 hashes what `selfcheck.run_all()` reports at seed 0: each suite's
 name, case count, tolerance, exact max error and verdict.
 
-A change that should not alter any result prints the same three lines as
+Line 4 hashes what the loaders return, each graph's `n_real`, label,
+adjacency bytes and feature bytes: `load_dataset` of the saved seed-0
+gen-iso set, and `load_tu` of a small mixed-size text layout that the
+tool writes, once with a node-label file and once without.
+
+A change that should not alter any result prints the same four lines as
 its parent. Run it against a source tree with
 
     PYTHONPATH=<tree>/src python tools/fingerprint.py
@@ -26,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from pinet.datagen import GenParams, generate_iso_dataset, sample_er_connected, save_provenance
-from pinet.dataio import save_dataset
+from pinet.dataio import load_dataset, load_tu, save_dataset
 from pinet.graph import pad_graph
 from pinet.model import PiNetConfig, save_params
 from pinet.selfcheck import run_all
@@ -78,12 +83,52 @@ def selfcheck_digest() -> str:
     return h.hexdigest()
 
 
+def write_tu_layout(root: Path, node_labels: bool):
+    """15 graphs of 1 to 9 nodes as the text layout `TOY_*.txt` in `root`:
+    every edge listed both ways plus one self-loop (dropped at load), raw
+    graph labels -1, 1 and 4, and node labels 0, 2 and 5 if asked for.
+    Both variants draw the same graphs."""
+    rng = np.random.default_rng(11)
+    rows = {"A": [], "graph_indicator": [], "graph_labels": [], "node_labels": []}
+    first = 1
+    for gid, n in enumerate(rng.integers(1, 10, size=15), start=1):
+        edges = np.argwhere(np.triu(rng.random((n, n)) < 0.4, k=1)) + first
+        rows["A"] += [f"{u}, {v}" for u, v in edges] + [f"{v}, {u}" for u, v in edges]
+        rows["graph_indicator"] += [str(gid)] * n
+        rows["graph_labels"].append(str(rng.choice([-1, 1, 4])))
+        rows["node_labels"] += [str(x) for x in rng.choice([0, 2, 5], size=n)]
+        first += n
+    rows["A"].append(f"{first - 1}, {first - 1}")
+    if not node_labels:
+        del rows["node_labels"]
+    root.mkdir()
+    for suffix, lines in rows.items():
+        (root / f"TOY_{suffix}.txt").write_text("\n".join(lines) + "\n")
+
+
+def loader_digest(tmp: Path) -> str:
+    iso, _ = generate_iso_dataset(GenParams(n_nodes=20, classes=3, copies=20, seed=0))
+    save_dataset(iso, tmp / "loaded.jsonl")
+    datasets = [load_dataset(tmp / "loaded.jsonl")]
+    for node_labels in (True, False):
+        write_tu_layout(tmp / f"tu-{node_labels}", node_labels)
+        datasets.append(load_tu(tmp / f"tu-{node_labels}", "TOY"))
+    h = hashlib.sha256()
+    for ds in datasets:
+        for g in ds.graphs:
+            h.update(repr((g.n_real, g.label)).encode())
+            h.update(g.adjacency.data.tobytes())
+            h.update(g.features.data.tobytes())
+    return h.hexdigest()
+
+
 def main():
     with tempfile.TemporaryDirectory() as d:
         tmp = Path(d)
         print(f"{gen_iso_digest(tmp)}  gen-iso n=20 c=3 x20, seeds 0 3 7")
         print(f"{fit_digest(tmp)}  fit, evaluate and checkpoints")
-    print(f"{selfcheck_digest()}  selfcheck run_all, seed 0")
+        print(f"{selfcheck_digest()}  selfcheck run_all, seed 0")
+        print(f"{loader_digest(tmp)}  load_dataset and load_tu")
 
 
 if __name__ == "__main__":
