@@ -115,12 +115,20 @@ def _check_outputs(inputs: dict, outputs: dict):
         seen[real] = flag
 
 
-def _load(args) -> dataio.Dataset:
+def _load(args, outputs: dict) -> dataio.Dataset:
+    """The dataset that --data or --tu-dir/--tu-name name, read once
+    `_check_outputs` has compared `outputs` with every file it reads:
+    the dataset file, or each file of the text layout that
+    `dataio.tu_files` names, the optional node-label file included."""
     if args.data and (args.tu_dir or args.tu_name):
         raise DomainError("give either --data or --tu-dir/--tu-name, not both")
     if args.data:
+        _check_outputs({"--data": args.data}, outputs)
         return dataio.load_dataset(args.data)
     if args.tu_dir and args.tu_name:
+        required, optional = dataio.tu_files(args.tu_dir, args.tu_name)
+        _check_outputs({f"--tu-dir/--tu-name file {os.path.basename(path)}": path
+                        for path in (*required, optional)}, outputs)
         return dataio.load_tu(args.tu_dir, args.tu_name)
     raise DomainError("a dataset is required: --data PATH or --tu-dir DIR --tu-name NAME")
 
@@ -158,8 +166,7 @@ def cmd_gen_iso(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_outputs({"--data": args.data}, {"--params-out": args.params_out})
-    ds = _load(args)
+    ds = _load(args, {"--params-out": args.params_out})
     _echo_config(args, {"dataset": ds.name, "graphs": len(ds), "d": ds.d, "C": ds.class_count})
     mc = _model_config(args, ds, args.pq)
     result = train.fit(ds.graphs, _train_config(args), mc)
@@ -175,8 +182,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    _check_outputs({"--data": args.data}, {"--out": args.out})
-    ds = _load(args)
+    ds = _load(args, {"--out": args.out})
     _echo_config(args, {"dataset": ds.name, "graphs": len(ds), "d": ds.d, "C": ds.class_count})
     mc = _model_config(args, ds, args.pq)
     report = train.cross_validate(ds.graphs, args.k, _train_config(args), mc)
@@ -251,8 +257,7 @@ SWEEP_MODES = (*((f"fixed-{p:g}-{q:g}", (p, q)) for p, q in CORNERS), ("learned"
 
 
 def cmd_sweep(args) -> int:
-    _check_outputs({"--data": args.data}, {"--out": args.out})
-    ds = _load(args)
+    ds = _load(args, {"--out": args.out})
     _echo_config(args, {"dataset": ds.name, "graphs": len(ds), "d": ds.d, "C": ds.class_count})
     tc = _train_config(args)
     rows = []

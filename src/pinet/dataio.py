@@ -121,8 +121,23 @@ def _parse_int(text: str, path, line_no: int) -> int:
         ) from None
 
 
+def tu_files(dir_path, dataset_name: str) -> tuple[tuple[str, str, str], str]:
+    """The files of the text layout that `load_tu` reads: the required
+    `<name>_A.txt`, `<name>_graph_indicator.txt` and
+    `<name>_graph_labels.txt`, and the optional `<name>_node_labels.txt`.
+    They sit in `dir_path`, or in its subdirectory `<name>` if there is
+    one."""
+    root = os.fspath(dir_path)
+    if os.path.isdir(os.path.join(root, dataset_name)):
+        root = os.path.join(root, dataset_name)
+    a, ind, labels, nodes = (os.path.join(root, f"{dataset_name}_{suffix}.txt") for suffix in
+                             ("A", "graph_indicator", "graph_labels", "node_labels"))
+    return (a, ind, labels), nodes
+
+
 def load_tu(dir_path, dataset_name: str) -> Dataset:
-    """Load a benchmark dataset from its standard text layout.
+    """Load a benchmark dataset from its standard text layout, the files
+    of `tu_files`.
 
     Requires `<name>_A.txt` (comma-separated 1-indexed global edge
     pairs), `<name>_graph_indicator.txt`, `<name>_graph_labels.txt`;
@@ -131,18 +146,11 @@ def load_tu(dir_path, dataset_name: str) -> Dataset:
     otherwise. Edges are symmetrised, self-loops dropped, raw graph
     labels mapped to 0..C-1 by sorted distinct value, and every graph is
     zero-padded to the collection's maximum node count."""
-    root = os.fspath(dir_path)
-    if os.path.isdir(os.path.join(root, dataset_name)):
-        root = os.path.join(root, dataset_name)
+    (a_path, ind_path, labels_path), nl_path = tu_files(dir_path, dataset_name)
+    for path in (a_path, ind_path, labels_path):
+        if not os.path.exists(path):
+            raise DataFormatError("missing required file", path=path)
 
-    def fpath(suffix):
-        return os.path.join(root, f"{dataset_name}_{suffix}.txt")
-
-    for suffix in ("A", "graph_indicator", "graph_labels"):
-        if not os.path.exists(fpath(suffix)):
-            raise DataFormatError("missing required file", path=fpath(suffix))
-
-    labels_path = fpath("graph_labels")
     raw_labels = [
         _parse_int(t, labels_path, i + 1)
         for i, t in enumerate(_read_lines(labels_path))
@@ -154,7 +162,6 @@ def load_tu(dir_path, dataset_name: str) -> Dataset:
     label_values = sorted(set(raw_labels))
     label_map = {v: i for i, v in enumerate(label_values)}
 
-    ind_path = fpath("graph_indicator")
     node_graph: list[int] = []  # 0-based graph id per global node
     node_local: list[int] = []  # local index within its graph
     counts = [0] * n_graphs
@@ -176,7 +183,6 @@ def load_tu(dir_path, dataset_name: str) -> Dataset:
         raise DataFormatError(f"graph {empty} has no nodes", path=ind_path)
 
     edges: list[set[tuple[int, int]]] = [set() for _ in range(n_graphs)]
-    a_path = fpath("A")
     for i, t in enumerate(_read_lines(a_path)):
         if not t.strip():
             continue
@@ -203,7 +209,6 @@ def load_tu(dir_path, dataset_name: str) -> Dataset:
         lu, lv = node_local[u - 1], node_local[v - 1]
         edges[gu].add((min(lu, lv), max(lu, lv)))
 
-    nl_path = fpath("node_labels")
     node_label_idx = None
     d = 1
     if os.path.exists(nl_path):

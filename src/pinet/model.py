@@ -15,7 +15,11 @@ the whole stack, and `tensor.attention_pool` pools every graph at once.
 A training batch is one stack; `forward` is a stack of one; `evaluate`
 scores stacks of consecutive graphs. The propagation matrix At(p, q)
 is never built here; `graph.propagation_matrix` builds it as the
-reference implementation.
+reference implementation. When the graphs carry one input feature
+(d = 1, as every `gen-iso` graph does), the first layer's input At0 @ X
+is one column, and `_rank2_layer` writes relu(At0 @ X @ W0) @ W1 as a
+(B*N) x 2 by 2 x F1 product: no (B*N) x F0 stack is built, forward or
+backward.
 
 The model differentiates itself. `_tower` and `_forward` compose the
 two fused ops, whose VJPs `tensor` provides, with plain numpy products,
@@ -131,12 +135,55 @@ def init_params(config: PiNetConfig) -> PiNetParams:
     return PiNetParams(values, config)
 
 
+def _dense_layer(u: np.ndarray, w0: np.ndarray, w1: np.ndarray):
+    """relu(u @ w0) @ w1 over the (B*N) x d stack u, and its vjp
+    `(g, want_u) -> (gw0, gw1, gu)`, with gu None unless `want_u`."""
+    h = _finite(u @ w0)
+    np.maximum(h, 0.0, out=h)  # relu in place; h > 0 is its backward mask
+    a1 = _finite(h @ w1)
+
+    def back(g, want_u):
+        gw1 = h.T @ g
+        g = g @ w1.T
+        g *= h > 0
+        return u.T @ g, gw1, g @ w0.T if want_u else None
+
+    return a1, back
+
+
+def _rank2_layer(u: np.ndarray, w0: np.ndarray, w1: np.ndarray):
+    """`_dense_layer` for a single column u, through relu(u * w) =
+    u+ relu(w) + (-u)+ relu(-w): with U = [u+, (-u)+] ((B*N) x 2) and
+    W = [relu(w0); relu(-w0)] (2 x F0), relu(u @ w0) = U @ W, so the
+    layer is U @ R with R = W @ w1 (2 x F1) and no array is wider than
+    F1. Agrees with `_dense_layer` up to rounding."""
+    big_u = np.maximum(np.hstack((u, -u)), 0.0)
+    big_w = np.maximum(np.vstack((w0, -w0)), 0.0)
+    r = big_w @ w1
+    a1 = _finite(big_u @ r)
+
+    def back(g, want_u):
+        ug = big_u.T @ g
+        t = ug @ w1.T
+        gw0 = np.where(w0 > 0, t[:1], 0.0) - np.where(w0 < 0, t[1:], 0.0)
+        gu = None
+        if want_u:
+            gr = g @ r.T
+            gu = np.where(u > 0, gr[:, :1], 0.0) - np.where(u < 0, gr[:, 1:], 0.0)
+        return gw0, big_w.T @ ug, gu
+
+    return a1, back
+
+
 def _tower(batch: Batch, values: dict[str, Mat], kind: str, grads):
     """Two message-passing layers over a stack: relu(At1 @ relu(At0 @ X @
     W0) @ W1), without the outer relu for the attention tower (its
     nonlinearity is the attention softmax). The first layer propagates X
     before the weight product: (At0 @ X) @ W0 costs N*N*d per graph
-    instead of N*N*F0, and the two orders agree up to rounding.
+    instead of N*N*F0, and the two orders agree up to rounding. When
+    d = 1, At0 @ X is one column and `_rank2_layer` computes the weight
+    products without the (B*N) x F0 stack relu(At0 @ X @ W0), forward
+    and backward; wider inputs take `_dense_layer`.
 
     Returns the (B*N) x F1 stack and, when `grads` names any parameter,
     its vjp: the stack's gradient to the tower's weight gradients and to
@@ -146,11 +193,9 @@ def _tower(batch: Batch, values: dict[str, Mat], kind: str, grads):
     if x.shape[1] != w0.shape[0]:
         raise ShapeError(f"graphs have d={x.shape[1]}, model d={w0.shape[0]}")
     u, vjp0 = propagate(batch, x, values[f"p_{kind}0"], values[f"q_{kind}0"])
-    h = _finite(u @ w0)
-    np.maximum(h, 0.0, out=h)  # relu in place; h > 0 is its backward mask
-    a1 = _finite(h @ w1)
+    a1, back0 = (_rank2_layer if u.shape[1] == 1 else _dense_layer)(u, w0, w1)
     if not grads:  # no vjp will read layer 0: free it before layer 1
-        u = vjp0 = h = None
+        u = vjp0 = back0 = None
     out, vjp1 = propagate(batch, a1, values[f"p_{kind}1"], values[f"q_{kind}1"])
     top = np.maximum(out, 0.0) if kind == "x" else out
     if not grads:
@@ -162,12 +207,10 @@ def _tower(batch: Batch, values: dict[str, Mat], kind: str, grads):
         if kind == "x":
             g *= top > 0  # in place: g is the pool's fresh gradient
         g, gp1, gq1 = vjp1(g, want1)
-        gw1 = h.T @ g
-        g = g @ w1.T
-        g *= h > 0
-        got = {f"w_{kind}0": u.T @ g, f"w_{kind}1": gw1}
+        gw0, gw1, gu = back0(g, want0)
+        got = {f"w_{kind}0": gw0, f"w_{kind}1": gw1}
         if want0:
-            _, gp0, gq0 = vjp0(g @ w0.T, True)
+            _, gp0, gq0 = vjp0(gu, True)
             got.update({p0: gp0, q0: gq0})
         if want1:
             got.update({p1: gp1, q1: gq1})

@@ -487,6 +487,34 @@ def test_output_naming_an_input_leaves_it_unchanged(capsys, tmp_path, monkeypatc
     assert target.read_bytes() == before
 
 
+_LAYOUT = {"A": "1, 2\n2, 3\n4, 5\n", "graph_indicator": "1\n1\n1\n2\n2\n",
+           "graph_labels": "1\n-1\n", "node_labels": "0\n1\n0\n1\n1\n"}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["train", "--params-out"], "--params-out"),
+    (["cv", "--k", "2", "--out"], "--out"),
+    (["sweep", "--k", "2", "--out"], "--out"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+@pytest.mark.parametrize("suffix", list(_LAYOUT))
+def test_output_naming_a_layout_file_leaves_it_unchanged(capsys, tmp_path, monkeypatch,
+                                                         argv, flag, suffix):
+    monkeypatch.setattr(train, "fit", lambda *a, **k: pytest.fail("fit was called"))
+    (tmp_path / "T").mkdir()  # load_tu also finds the layout in a subdirectory named T
+    for name, text in _LAYOUT.items():
+        (tmp_path / "T" / f"T_{name}.txt").write_text(text)
+    target = tmp_path / "T" / f"T_{suffix}.txt"
+    code, stdout, err = _run(capsys, [
+        *argv, str(target), "--tu-dir", str(tmp_path), "--tu-name", "T", "--epochs", "1",
+    ])
+    assert code == 1
+    assert err == (f"error: {flag} {target} names the same file as "
+                   f"--tu-dir/--tu-name file T_{suffix}.txt\n")
+    assert stdout == ""
+    assert {p.name: p.read_text() for p in (tmp_path / "T").iterdir()} == {
+        f"T_{name}.txt": text for name, text in _LAYOUT.items()}
+
+
 def test_cv_output_in_missing_directory_exits_one_before_any_fold(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(train, "fit", lambda *a, **k: pytest.fail("fit was called"))
     data = _toy_dataset_file(tmp_path, copies=2)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pinet.dataio import Dataset, atomic_write, load_dataset, load_tu, save_dataset
+from pinet.dataio import Dataset, atomic_write, load_dataset, load_tu, save_dataset, tu_files
 from pinet.datagen import GenParams, generate_iso_dataset, load_provenance, save_provenance
 from pinet.errors import DataFormatError, DomainError, ShapeError
 from pinet.graph import LabeledGraph, Permutation, graph_from_edges, pad_graph, permute_graph
@@ -142,6 +142,14 @@ def test_tu_missing_file_named(tmp_path):
     with pytest.raises(DataFormatError) as err:
         load_tu(d, "MISS")
     assert "MISS_graph" in str(err.value)
+
+
+def test_tu_files_name_the_layout_in_dir_or_subdir(tmp_path):
+    names = ("A", "graph_indicator", "graph_labels", "node_labels")
+    for root in (tmp_path, tmp_path / "L"):  # a subdirectory named L takes over once it exists
+        required, optional = tu_files(tmp_path, "L")
+        assert (*required, optional) == tuple(str(root / f"L_{s}.txt") for s in names)
+        (tmp_path / "L").mkdir(exist_ok=True)
 
 
 def test_tu_cross_graph_edge_rejected(tmp_path):

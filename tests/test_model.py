@@ -6,12 +6,15 @@ invariance, parameter gradients, and checkpoint round-trips.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pinet import model
 from pinet.errors import DomainError, ShapeError, TapeError
 from pinet.graph import (
+    CORNERS,
     graph_from_edges,
     make_batch,
     pad_graph,
@@ -23,6 +26,7 @@ from pinet.model import (
     WEIGHT_NAMES,
     PiNetConfig,
     PiNetParams,
+    _tower,
     clamp_pq,
     forward,
     forward_attention,
@@ -35,7 +39,7 @@ from pinet.model import (
     predict_classes,
     save_params,
 )
-from pinet.tensor import Mat, Tape, backward, grad_check
+from pinet.tensor import Mat, Tape, backward, grad_check, propagate
 
 
 def _triangle(label=0):
@@ -329,6 +333,102 @@ def test_pq_gradients_flow():
     assert math.isfinite(loss)
     for name in PQ_NAMES:
         assert name in grads
+
+
+# -- the rank-2 first layer ---------------------------------------------------
+
+def _dense_tower(batch, values, kind, grads):
+    """The reference tower: relu(At0 X W0) W1 built as a (B*N) x F0
+    stack, whatever the input width."""
+    w0, w1 = values[f"w_{kind}0"].data, values[f"w_{kind}1"].data
+    u, vjp0 = propagate(batch, batch.x, values[f"p_{kind}0"], values[f"q_{kind}0"])
+    h = np.maximum(u @ w0, 0.0)
+    out, vjp1 = propagate(batch, h @ w1, values[f"p_{kind}1"], values[f"q_{kind}1"])
+    top = np.maximum(out, 0.0) if kind == "x" else out
+
+    def vjp(g):
+        g = g * (top > 0) if kind == "x" else g
+        g, gp1, gq1 = vjp1(g, True)
+        gh = (g @ w1.T) * (h > 0)
+        _, gp0, gq0 = vjp0(gh @ w0.T, True)
+        got = {f"w_{kind}0": u.T @ gh, f"w_{kind}1": h.T @ g, f"p_{kind}0": gp0,
+               f"q_{kind}0": gq0, f"p_{kind}1": gp1, f"q_{kind}1": gq1}
+        return {k: v for k, v in got.items() if k in grads or k.startswith("w")}
+
+    return top, vjp
+
+
+def _close(a, b, tol=1e-12):
+    return np.abs(a - b).max() <= tol * max(1.0, np.abs(b).max())
+
+
+def _signed_stack(d, seed=21):
+    """Graphs of 3 to 9 nodes, padded to 9, with features of both signs,
+    so that At0 X holds positive, negative and (padded) zero entries."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for i, n in enumerate((3, 9, 5, 7, 4)):
+        g = _random_graph(rng, n, label=i % 2)
+        graphs.append(pad_graph(replace(g, features=Mat(rng.normal(size=(n, d)))), 9))
+    return make_batch(graphs, 2)
+
+
+_PQ_POINTS = [*CORNERS, (0.3, 0.8), (0.65, 0.15)]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", ["x", "a"])
+@pytest.mark.parametrize("pq", _PQ_POINTS, ids=str)
+def test_tower_matches_dense_reference(d, kind, pq):
+    batch = _signed_stack(d)
+    params = init_params(_small_config(d=d, F0=7, F1=5, seed=4))
+    values = params.replaced({k: Mat.scalar(pq[0] if k[0] == "p" else pq[1])
+                              for k in PQ_NAMES}).values
+    grads = tuple(params.trainables())
+    top, vjp = _tower(batch, values, kind, grads)
+    ref_top, ref_vjp = _dense_tower(batch, values, kind, grads)
+    assert _close(top, ref_top)
+    g = np.random.default_rng(5).normal(size=top.shape)
+    got, ref = vjp(g.copy()), ref_vjp(g.copy())
+    assert sorted(got) == sorted(ref) and len(got) == 6
+    for k in ref:
+        assert _close(got[k], ref[k]), k
+
+
+@pytest.mark.parametrize("pq_mode", ["learned", "fixed"])
+@pytest.mark.parametrize("axis", ["nodes", "features"])
+def test_model_gradients_match_dense_towers(monkeypatch, pq_mode, axis):
+    # the whole step, every trainable, with both towers on either path
+    batch = _signed_stack(1, seed=22)
+    params = init_params(_small_config(F0=7, F1=5, attention_axis=axis, pq_mode=pq_mode,
+                                       fixed_p=0.4, fixed_q=0.9, seed=6))
+    if pq_mode == "learned":
+        params = params.replaced({k: Mat.scalar(0.15 + 0.1 * i) for i, k in enumerate(PQ_NAMES)})
+    loss, grads = grads_batch(batch, params)
+    monkeypatch.setattr(model, "_tower", _dense_tower)
+    ref_loss, ref_grads = grads_batch(batch, params)
+    assert math.isclose(loss, ref_loss, rel_tol=1e-12)
+    assert list(grads) == list(ref_grads) == list(params.trainables())
+    for k in grads:
+        assert _close(grads[k].data, ref_grads[k].data), k
+
+
+@pytest.mark.parametrize("d, not_taken", [(1, "_dense_layer"), (2, "_rank2_layer")])
+def test_first_layer_path_follows_input_width(monkeypatch, d, not_taken):
+    batch = _signed_stack(d)
+    params = init_params(_small_config(d=d, F0=7, F1=5))
+    monkeypatch.setattr(model, not_taken, lambda *a: pytest.fail(f"{not_taken} was called"))
+    grads_batch(batch, params)
+
+
+def test_rank2_layer_keeps_padded_rows_zero():
+    rng = np.random.default_rng(23)
+    g = pad_graph(graph_from_edges(4, [(0, 1), (1, 2), (2, 3)], 0,
+                                   Mat(rng.normal(size=(4, 1)))), 7)
+    for pq in _PQ_POINTS:
+        params = init_params(_small_config(pq_mode="fixed", fixed_p=pq[0], fixed_q=pq[1]))
+        out = forward_features(g, params).data
+        assert np.all(out[4:] == 0.0) and np.any(out[:4] != 0.0)
 
 
 # -- the tape adapter ---------------------------------------------------------
