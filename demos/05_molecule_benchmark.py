@@ -25,7 +25,7 @@ if not root or not os.path.isdir(root):
 # 1. Load and describe.
 ds = load_tu(root, "MUTAG")
 print(f"{ds.name}: {len(ds)} graphs, {ds.class_count} classes, "
-      f"padded to {ds.n_pad} nodes, feature width {ds.d}")
+      f"at most {ds.n_pad} nodes each, feature width {ds.d}")
 for c in range(ds.class_count):
     print(f"  class {c}: {ds.class_fraction(c):.3f} of the data")
 

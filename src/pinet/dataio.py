@@ -47,10 +47,12 @@ def atomic_write(path, newline=None):
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Graphs padded to a shared size with contiguous class labels.
+    """Graphs of one feature width, each stored at its own size (N =
+    n_real, no padding), with contiguous class labels.
 
-    The pad size equals the maximum real node count in the collection;
-    `label_map` records how raw label values map to class indices."""
+    `n_pad` is the largest node count in the collection, the N that
+    padding every graph to one size would need; `label_map` records how
+    raw label values map to class indices."""
 
     name: str
     graphs: tuple[LabeledGraph, ...]
@@ -75,21 +77,22 @@ class Dataset:
                 f"< class_count={self.class_count}, got {self.label_map!r}")
         if not self.graphs:
             return
-        n, d = self.graphs[0].n, self.graphs[0].d
+        d = self.graphs[0].d
         for i, g in enumerate(self.graphs):
-            if g.n != n or g.d != d:
-                raise ShapeError(f"graph {i} has N={g.n}, d={g.d}; expected N={n}, d={d}")
+            if g.d != d:
+                raise ShapeError(f"graph {i} has d={g.d}; expected d={d}")
+            if g.n != g.n_real:
+                raise DomainError(f"graph {i} is padded to N={g.n} beyond its "
+                                  f"{g.n_real} nodes; a dataset stores each at its own size")
             if not 0 <= g.label < self.class_count:
                 raise DomainError(f"graph {i} label {g.label} outside [0, {self.class_count})")
-        if n != max(g.n_real for g in self.graphs):
-            raise DomainError("pad size must equal the maximum real node count")
 
     def __len__(self) -> int:
         return len(self.graphs)
 
     @property
     def n_pad(self) -> int:
-        return self.graphs[0].n if self.graphs else 0
+        return max((g.n for g in self.graphs), default=0)
 
     @property
     def d(self) -> int:
@@ -145,7 +148,7 @@ def load_tu(dir_path, dataset_name: str) -> Dataset:
     width = number of distinct values) and all-ones width-1 features
     otherwise. Edges are symmetrised, self-loops dropped, raw graph
     labels mapped to 0..C-1 by sorted distinct value, and every graph is
-    zero-padded to the collection's maximum node count."""
+    stored at its own node count."""
     (a_path, ind_path, labels_path), nl_path = tu_files(dir_path, dataset_name)
     for path in (a_path, ind_path, labels_path):
         if not os.path.exists(path):
@@ -226,18 +229,16 @@ def load_tu(dir_path, dataset_name: str) -> Dataset:
         node_label_idx = [nl_map[v] for v in raw_nl]
         d = len(nl_values)
 
-    n_pad = max(counts)
-    feats = [np.zeros((n_pad, d)) for _ in range(n_graphs)]
     if node_label_idx is None:
-        for gi in range(n_graphs):
-            feats[gi][:counts[gi], 0] = 1.0
+        feats = [np.ones((n, 1)) for n in counts]
     else:
+        feats = [np.zeros((n, d)) for n in counts]
         for node in range(n_nodes):
             feats[node_graph[node]][node_local[node], node_label_idx[node]] = 1.0
 
     graphs = tuple(
-        graph_from_edges(n_pad, list(edges[gi]), label_map[raw_labels[gi]],
-                         Mat(feats[gi]), counts[gi])
+        graph_from_edges(counts[gi], list(edges[gi]), label_map[raw_labels[gi]],
+                         Mat(feats[gi]))
         for gi in range(n_graphs)
     )
     return Dataset(
@@ -363,10 +364,11 @@ def load_dataset(path) -> Dataset:
                 f"header field {name!r} must be {kind}", path=str(path), line=1
             )
     n_pad, d = header["n_pad"], header["d"]
-    # Every record's counts are checked before any n_pad-sized array is
+    # Every record's counts are checked before any graph's arrays are
     # allocated, so no count in the file can ask for more memory than its
     # data implies: n_real must match the feature rows, and n_pad the
-    # largest n_real. `graph_from_edges` checks the edges as it builds.
+    # largest n_real. Each graph is built at its own size, and
+    # `graph_from_edges` checks the edges as it builds.
     records = []
     for i, text in enumerate(lines[1:], start=2):
         if not text.strip():
@@ -394,10 +396,8 @@ def load_dataset(path) -> Dataset:
         )
     graphs = []
     for i, n_real, label, edges, x in records:
-        xp = np.zeros((n_pad, d))
-        xp[:n_real] = x
         try:
-            graphs.append(graph_from_edges(n_pad, edges, label, Mat(xp), n_real))
+            graphs.append(graph_from_edges(n_real, edges, label, Mat(x)))
         except DomainError as e:
             raise DataFormatError(str(e), path=str(path), line=i) from None
     try:

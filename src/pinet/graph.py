@@ -1,13 +1,16 @@
-"""Graph data model: padded adjacency/feature pairs and node relabelling.
+"""Graph data model: adjacency/feature pairs, node relabelling, batching.
 
 A graph is a symmetric {0,1} adjacency matrix plus a node-feature matrix,
-both zero-padded to a size N. Its real nodes are always the leading
-`n_real` positions and every later row, column and feature row is zero;
-relabelling permutes only the real nodes. `make_batch` pads the graphs
-of a batch to its largest N and stacks them for one forward pass. The
-message-passing operator built here interpolates between the raw
-adjacency and its symmetrically degree-normalised form, with a self-loop
-weight, controlled by two scalars p and q in [0, 1].
+both of some stored size N. Its real nodes are always the leading
+`n_real` positions and every later row, column and feature row is zero:
+the loaders store each graph at its own size (N = n_real), and
+`pad_graph` zero-extends one. Relabelling permutes only the real nodes.
+`make_batch` groups the graphs of a batch by the power-of-two class of
+their stored N and stacks each group, padded to its own largest N, for
+the model's forward pass. The message-passing operator built here
+interpolates between the raw adjacency and its symmetrically
+degree-normalised form, with a self-loop weight, controlled by two
+scalars p and q in [0, 1].
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .tensor import Mat, _pq_scalar, _typed_array, as_mat
 
 @dataclass(frozen=True, eq=False)
 class LabeledGraph:
-    """Padded graph with a class label.
+    """Graph with a class label, stored at N >= n_real nodes.
 
     The real nodes are the leading `n_real >= 1` positions; the adjacency
     rows and columns and the feature rows of every later (padded)
@@ -55,7 +58,7 @@ class LabeledGraph:
 
     @property
     def n(self) -> int:
-        """Padded node count N."""
+        """Stored node count N, padding included."""
         return self.adjacency.rows
 
     @property
@@ -220,56 +223,86 @@ def pad_graph(g: LabeledGraph, n_target: int) -> LabeledGraph:
 
 
 @dataclass(frozen=True, eq=False)
-class Batch:
-    """Graphs sharing d, stacked for one forward pass.
+class Stack:
+    """Graphs of one size class padded to a shared N, for one pass of
+    `tensor.propagate` and `tensor.attention_pool`.
 
-    N is the largest `g.n` in the batch. Graph b's adjacency is
-    `adj[b]`, its features and degrees rows b*N..(b+1)*N-1 of `x` and
-    `deg`, each in its leading g.n positions and zero beyond them. Its
-    real nodes lead, so its node mask `mask[b]` is True on the leading
-    `g.n_real` positions and False beyond. Every array is read-only,
-    and all but the bool `mask` hold float64. Only `make_batch` builds a
-    Batch, from checked graphs.
+    N is the largest `g.n` among its B graphs. Graph k (batch row
+    `rows[k]`) has adjacency `adj[k]`, and features and degrees in rows
+    k*N..(k+1)*N-1 of `x` and `deg`, each in its leading g.n positions
+    and zero beyond them. Its real nodes lead, so its node mask
+    `mask[k]` is True on the leading `g.n_real` positions and False
+    beyond. Every array is read-only, and all but the bool `mask` and
+    the integer `rows` hold float64.
     """
 
-    graphs: tuple[LabeledGraph, ...]
-    labels: np.ndarray  # B x C one-hot
+    rows: np.ndarray  # B: the batch rows of its graphs, ascending
     adj: np.ndarray  # B x N x N
     x: np.ndarray  # (B*N) x d
     mask: np.ndarray  # B x N
     deg: np.ndarray  # (B*N) x 1 node degrees, 0 on padding
 
+
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """Graphs sharing d, with one-hot labels, as one stack per size class.
+
+    A graph's size class is `(g.n - 1).bit_length()`, the power of two
+    its stored node count rounds up to. `stacks` holds one `Stack` per
+    class present, smallest class first; a batch whose graphs share a
+    class is a single stack padded to its largest N. Row b of `labels`
+    belongs to `graphs[b]`. Only `make_batch` builds a Batch, from
+    checked graphs.
+    """
+
+    graphs: tuple[LabeledGraph, ...]
+    labels: np.ndarray  # B x C one-hot, read-only
+    stacks: tuple[Stack, ...]
+
     def __len__(self) -> int:
         return len(self.graphs)
 
 
+def _stack(graphs, rows: np.ndarray, d: int) -> Stack:
+    """The Stack of `graphs[r]` for r in `rows`, padded to their largest N."""
+    members = [graphs[r] for r in rows]
+    b, n = len(members), max(g.n for g in members)
+    adj = np.zeros((b, n, n))
+    x = np.zeros((b, n, d))
+    mask = np.zeros((b, n), dtype=bool)
+    for k, g in enumerate(members):
+        adj[k, :g.n, :g.n] = g.adjacency.data
+        x[k, :g.n] = g.features.data
+        mask[k, :g.n_real] = True
+    x = x.reshape(b * n, d)
+    deg = adj.sum(axis=2).reshape(-1, 1)
+    for arr in (rows, adj, x, mask, deg):
+        arr.setflags(write=False)
+    return Stack(rows, adj, x, mask, deg)
+
+
 def make_batch(graphs, class_count: int) -> Batch:
-    """Stack graphs of any sizes and one feature width d, padding each
-    to the largest N, with one-hot labels over `class_count` classes."""
+    """Batch graphs of any sizes and one feature width d, with one-hot
+    labels over `class_count` classes: each size class of stored node
+    counts becomes one stack, its graphs in input order."""
     graphs = tuple(graphs)
     if not graphs:
         raise DomainError("batch must contain at least one graph")
     if not _is_int(class_count, 1):
         raise DomainError(f"class_count must be an integer >= 1, got {class_count!r}")
-    b, n, d = len(graphs), max(g.n for g in graphs), graphs[0].d
-    onehot = np.zeros((b, class_count))
-    adj = np.zeros((b, n, n))
-    x = np.zeros((b, n, d))
-    mask = np.zeros((b, n), dtype=bool)
+    d = graphs[0].d
+    onehot = np.zeros((len(graphs), class_count))
     for i, g in enumerate(graphs):
         if g.d != d:
             raise ShapeError(f"graph {i} has d={g.d}, expected d={d}")
         if g.label >= class_count:
             raise DomainError(f"graph {i} label {g.label} >= class count {class_count}")
         onehot[i, g.label] = 1.0
-        adj[i, :g.n, :g.n] = g.adjacency.data
-        x[i, :g.n] = g.features.data
-        mask[i, :g.n_real] = True
-    x = x.reshape(b * n, d)
-    deg = adj.sum(axis=2).reshape(-1, 1)
-    for arr in (onehot, adj, x, mask, deg):
-        arr.setflags(write=False)
-    return Batch(graphs, onehot, adj, x, mask, deg)
+    onehot.setflags(write=False)
+    size_class = np.array([(g.n - 1).bit_length() for g in graphs])
+    stacks = tuple(_stack(graphs, np.flatnonzero(size_class == c), d)
+                   for c in np.unique(size_class))
+    return Batch(graphs, onehot, stacks)
 
 
 # The four (p, q) extremes, where At(p, q) is A, A+I or their degree-

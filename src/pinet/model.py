@@ -7,25 +7,28 @@ graph representation, which a dense layer maps to class probabilities.
 Every message-passing layer owns its own (p, q) pair controlling the
 propagation matrix, trainable alongside the weights.
 
-All entry points run the same code over a stack that
-`graph.make_batch` builds, every graph padded to the batch's largest
-N: the node states of B graphs form one (B*N) x F matrix (graph b in
-rows b*N..(b+1)*N-1), each layer is one `tensor.propagate` call over
-the whole stack, and `tensor.attention_pool` pools every graph at once.
-A training batch is one stack; `forward` is a stack of one; `evaluate`
-scores stacks of consecutive graphs. The propagation matrix At(p, q)
-is never built here; `graph.propagation_matrix` builds it as the
-reference implementation. When the graphs carry one input feature
-(d = 1, as every `gen-iso` graph does), the first layer's input At0 @ X
-is one column, and `_rank2_layer` writes relu(At0 @ X @ W0) @ W1 as a
-(B*N) x 2 by 2 x F1 product: no (B*N) x F0 stack is built, forward or
-backward.
+All entry points run the same code over the stacks that
+`graph.make_batch` builds, one per power-of-two class of stored node
+counts, each padded to its own largest N. The node states of a stack's
+B graphs form one (B*N) x F matrix (graph k in rows k*N..(k+1)*N-1),
+each layer is one `tensor.propagate` call over the whole stack, and
+`tensor.attention_pool` pools every graph of it at once. The readout,
+the loss and its gradient then run once over all of the batch's rows, in
+input order. A training batch is one `make_batch`; `forward` is a stack
+of one; `evaluate` scores chunks of consecutive graphs. Graphs that
+share a size class, as every `gen-iso` set does, form one stack. The
+propagation matrix At(p, q) is never built here;
+`graph.propagation_matrix` builds it as the reference implementation.
+When the graphs carry one input feature (d = 1, as every `gen-iso`
+graph does), the first layer's input At0 @ X is one column, and
+`_rank2_layer` writes relu(At0 @ X @ W0) @ W1 as a (B*N) x 2 by 2 x F1
+product: no (B*N) x F0 stack is built, forward or backward.
 
-The model differentiates itself. `_tower` and `_forward` compose the
-two fused ops, whose VJPs `tensor` provides, with plain numpy products,
-relu, softmax and clamped cross-entropy, and each returns a vjp closure
-that runs its pieces' VJPs in reverse order; `grads_batch` is the
-forward pass followed by that vjp.
+The model differentiates itself. `_tower`, `_pool` and `_forward`
+compose the two fused ops, whose VJPs `tensor` provides, with plain
+numpy products, relu, softmax and clamped cross-entropy, and each
+returns a vjp closure that runs its pieces' VJPs in reverse order;
+`grads_batch` is the forward pass followed by that vjp.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 
 from .dataio import _real_field, read_document, write_document
 from .errors import DomainError, ShapeError
-from .graph import Batch, LabeledGraph, _check_int_fields, make_batch
+from .graph import Batch, LabeledGraph, Stack, _check_int_fields, make_batch
 from .tensor import Mat, _finite, _leaves_of, _pq_scalar, attention_pool, attention_softmax, propagate
 
 WEIGHT_NAMES = ("w_x0", "w_x1", "w_a0", "w_a1", "w_d")
@@ -175,7 +178,7 @@ def _rank2_layer(u: np.ndarray, w0: np.ndarray, w1: np.ndarray):
     return a1, back
 
 
-def _tower(batch: Batch, values: dict[str, Mat], kind: str, grads):
+def _tower(stack: Stack, values: dict[str, Mat], kind: str, grads):
     """Two message-passing layers over a stack: relu(At1 @ relu(At0 @ X @
     W0) @ W1), without the outer relu for the attention tower (its
     nonlinearity is the attention softmax). The first layer propagates X
@@ -189,14 +192,14 @@ def _tower(batch: Batch, values: dict[str, Mat], kind: str, grads):
     its vjp: the stack's gradient to the tower's weight gradients and to
     those of its p and q that `grads` names. Else None, so that nothing
     of the forward pass outlives the call."""
-    x, w0, w1 = batch.x, values[f"w_{kind}0"].data, values[f"w_{kind}1"].data
+    x, w0, w1 = stack.x, values[f"w_{kind}0"].data, values[f"w_{kind}1"].data
     if x.shape[1] != w0.shape[0]:
         raise ShapeError(f"graphs have d={x.shape[1]}, model d={w0.shape[0]}")
-    u, vjp0 = propagate(batch, x, values[f"p_{kind}0"], values[f"q_{kind}0"])
+    u, vjp0 = propagate(stack, x, values[f"p_{kind}0"], values[f"q_{kind}0"])
     a1, back0 = (_rank2_layer if u.shape[1] == 1 else _dense_layer)(u, w0, w1)
     if not grads:  # no vjp will read layer 0: free it before layer 1
         u = vjp0 = back0 = None
-    out, vjp1 = propagate(batch, a1, values[f"p_{kind}1"], values[f"q_{kind}1"])
+    out, vjp1 = propagate(stack, a1, values[f"p_{kind}1"], values[f"q_{kind}1"])
     top = np.maximum(out, 0.0) if kind == "x" else out
     if not grads:
         return top, None
@@ -219,20 +222,46 @@ def _tower(batch: Batch, values: dict[str, Mat], kind: str, grads):
     return top, vjp
 
 
+def _pool(stack: Stack, values: dict[str, Mat], axis: str, grads):
+    """Both towers over a stack and its attention pooling: the stack's
+    B x F1^2 pooled rows and, when `grads` names any parameter, their
+    vjp to the towers' gradients. Else None, so that nothing of the
+    towers outlives the call."""
+    z, vjp_x = _tower(stack, values, "x", grads)
+    pre, vjp_a = _tower(stack, values, "a", grads)
+    pooled, vjp_pool = attention_pool(stack, pre, z, axis)
+    if not grads:
+        return pooled, None
+
+    def vjp(g):
+        gpre, gz = vjp_pool(g)
+        got = vjp_a(gpre)
+        got.update(vjp_x(gz))
+        return got
+
+    return pooled, vjp
+
+
 def _forward(batch: Batch, params: PiNetParams, grads=()):
-    """B x C class probabilities of a stack, one row per graph, and their
-    cross-entropy against `batch.labels`, summed. Probabilities are
-    clamped at CROSS_ENTROPY_EPS before the logarithm.
+    """B x C class probabilities of a batch, one row per graph in input
+    order, and their cross-entropy against `batch.labels`, summed.
+    Probabilities are clamped at CROSS_ENTROPY_EPS before the logarithm.
+    Each stack's pooled rows meet the readout in their own product,
+    whose rows land in their graphs' rows of the logits.
 
     Also returns, when `grads` names any parameter, the loss's vjp: a
     closure that returns the loss's gradient with respect to each named
-    parameter. Else None."""
+    parameter, summed over the stacks. Else None."""
     values = params.values
-    z, vjp_x = _tower(batch, values, "x", grads)
-    pre, vjp_a = _tower(batch, values, "a", grads)
-    pooled, vjp_pool = attention_pool(batch, pre, z, params.config.attention_axis)
     wd = values["w_d"].data
-    logits = _finite(pooled @ wd)
+    logits = np.empty((len(batch), wd.shape[1]))
+    parts = []
+    for stack in batch.stacks:
+        pooled, vjp_pool = _pool(stack, values, params.config.attention_axis, grads)
+        logits[stack.rows] = pooled @ wd
+        if grads:
+            parts.append((stack.rows, pooled, vjp_pool))
+    _finite(logits)
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs = e / e.sum(axis=1, keepdims=True)
     y = batch.labels
@@ -244,10 +273,11 @@ def _forward(batch: Batch, params: PiNetParams, grads=()):
     def vjp():
         g = np.where(probs >= CROSS_ENTROPY_EPS, -y / zc, 0.0)  # y is a constant target
         g = probs * (g - (g * probs).sum(axis=1, keepdims=True))
-        got = {"w_d": pooled.T @ g}
-        gpre, gz = vjp_pool(g @ wd.T)
-        got.update(vjp_a(gpre))
-        got.update(vjp_x(gz))
+        got = {}
+        for rows, pooled, vjp_pool in parts:
+            gs = g[rows]
+            for k, v in {"w_d": pooled.T @ gs, **vjp_pool(gs @ wd.T)}.items():
+                got[k] = got[k] + v if k in got else v
         return {k: got[k] for k in grads}
 
     return probs, loss, vjp
@@ -259,7 +289,8 @@ def forward_features(g: LabeledGraph, params: PiNetParams) -> Mat:
     Padded-node rows are zero: their input features are zero and the
     propagation matrix gives them no cross-node entries.
     """
-    return Mat._adopt(_tower(make_batch([g], params.config.C), params.values, "x", ())[0])
+    (stack,) = make_batch([g], params.config.C).stacks
+    return Mat._adopt(_tower(stack, params.values, "x", ())[0])
 
 
 def forward_attention(g: LabeledGraph, params: PiNetParams) -> Mat:
@@ -270,9 +301,9 @@ def forward_attention(g: LabeledGraph, params: PiNetParams) -> Mat:
     normalised over the F1 feature positions and padded columns are then
     zeroed. Either way padded-node columns are exactly 0.
     """
-    batch = make_batch([g], params.config.C)
-    pre = _tower(batch, params.values, "a", ())[0]
-    att = attention_softmax(pre.reshape(1, g.n, -1), batch.mask, params.config.attention_axis)
+    (stack,) = make_batch([g], params.config.C).stacks
+    pre = _tower(stack, params.values, "a", ())[0]
+    att = attention_softmax(pre.reshape(1, g.n, -1), stack.mask, params.config.attention_axis)
     return Mat(att[0].T)
 
 
@@ -295,9 +326,10 @@ def loss_batch(batch: Batch, params: PiNetParams) -> Mat:
 
 
 def predict_classes(params: PiNetParams, graphs) -> np.ndarray:
-    """Argmax class per graph, from one forward pass over graphs of one
-    feature width d and any sizes; ties break toward the lowest index.
-    A label at or above the model's class count raises DomainError."""
+    """Argmax class per graph, in input order, from one forward pass
+    over graphs of one feature width d and any sizes, one stack per size
+    class; ties break toward the lowest index. A label at or above the
+    model's class count raises DomainError."""
     return np.argmax(_forward(make_batch(graphs, params.config.C), params)[0], axis=1)
 
 

@@ -193,14 +193,14 @@ def check_fused_layer(cases: int = 60, seed: int = 0, tol: float = 1e-12) -> Sui
                 a[v, :] = a[:, v] = 0.0
             adjs.append(a)
         graphs = [_graph(a, rng.normal(size=(len(a), f)), n) for a in adjs]
-        batch = make_batch(graphs, 1)
+        (stack,) = make_batch(graphs, 1).stacks  # every graph padded to n: one size class
         g = rng.normal(size=(b * n, f))
         pv, qv = CORNERS[i] if i < len(CORNERS) else rng.uniform(0.0, 1.0, size=2)
         if i >= len(CORNERS) and i % 3 == 0:
             pv = 0.0  # p = 0 leaves isolated nodes with no scale at all
         pv, qv = float(pv), float(qv)
 
-        out, vjp = propagate(batch, batch.x, pv, qv)
+        out, vjp = propagate(stack, stack.x, pv, qv)
         got = dict(zip(("out", "h", "p", "q"), (out, *vjp(g, True))))
         parts = [
             _closed_form(gk.adjacency.data, gk.features.data, pv, qv, g[k * n:(k + 1) * n])

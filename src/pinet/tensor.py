@@ -7,16 +7,17 @@ hand-written vjp, with plain numpy products, relu, softmax and
 cross-entropy, and runs the VJPs in reverse order. `grad_check` holds
 such a gradient, taken once, to central differences of the loss alone.
 
-A batch of B graphs padded to N nodes travels as one (B*N) x F stack of
-node states, graph b in rows b*N..(b+1)*N-1, beside the `graph.Batch`
-that `graph.make_batch` built: the features stack, a B x N x N adjacency
-stack, its degree column and a B x N node mask, all plain read-only
-arrays. Both ops read the Batch: `propagate` applies the At(p, q)
-operator of every graph without materialising it, and `attention_pool`
-turns the attention-tower stack into per-graph pooled rows. At(p, q)
-itself is built in plain numpy by `graph.propagation_matrix`; the
-`fused-propagation` selfcheck holds `propagate` to it in value and to
-its closed-form derivatives in p and q.
+A stack of B graphs padded to N nodes travels as one (B*N) x F matrix
+of node states, graph k in rows k*N..(k+1)*N-1, beside the `graph.Stack`
+that `graph.make_batch` built, one per size class of a batch: the
+features stack, a B x N x N adjacency stack, its degree column and a
+B x N node mask, all plain read-only arrays. Both ops read one Stack:
+`propagate` applies the At(p, q) operator of every graph without
+materialising it, and `attention_pool` turns the attention-tower stack
+into per-graph pooled rows. At(p, q) itself is built in plain numpy by
+`graph.propagation_matrix`; the `fused-propagation` selfcheck holds
+`propagate` to it in value and to its closed-form derivatives in p and
+q.
 
 `Tape`, `Tape.leaf` and `backward` are a small adapter over that chain
 for callers that drive a step through `model.loss_batch`: the loss of
@@ -198,20 +199,20 @@ def _pq_scalar(v, name: str) -> Mat:
     return m
 
 
-def propagate(batch, h: np.ndarray, p, q):
-    """At(p, q) @ H for every graph of a `graph.Batch`, without building At.
+def propagate(stack, h: np.ndarray, p, q):
+    """At(p, q) @ H for every graph of a `graph.Stack`, without building At.
 
-    `h` is the (B*N) x F stack of node states, graph b in rows
-    b*N..(b+1)*N-1. Each block is computed in the factored form
+    `h` is the (B*N) x F stack of node states, graph k in rows
+    k*N..(k+1)*N-1. Each block is computed in the factored form
     s * ((A + qI)(s * H)) with s = (p + (1-p)*deg)^(-1/2) per node from
-    `batch.adj` and `batch.deg`, and 0^(-1/2) := 0, the operator that
+    `stack.adj` and `stack.deg`, and 0^(-1/2) := 0, the operator that
     `graph.propagation_matrix` builds explicitly. p and q are floats in
     [0, 1] or 1x1 matrices. Returns the stack and its vjp
     `(g, want_pq) -> (gh, gp, gq)`, with gp and gq 1x1 arrays, or None
     unless `want_pq`. The vjp reuses the operator, as A = A^T for every
     checked graph `make_batch` stacks.
     """
-    adj, deg = batch.adj, batch.deg
+    adj, deg = stack.adj, stack.deg
     b, n, _ = adj.shape
     if h.shape[0] != b * n:
         raise ShapeError(f"propagate: {h.shape[0]} state rows for {b} graphs of {n} nodes")
@@ -272,23 +273,23 @@ def attention_softmax(pre: np.ndarray, mask: np.ndarray, axis: str) -> np.ndarra
     return e
 
 
-def attention_pool(batch, pre: np.ndarray, z: np.ndarray, axis: str):
-    """Per-graph softmax(pre)^T @ z over the stacks of a `graph.Batch`, one
-    graph per output row.
+def attention_pool(stack, pre: np.ndarray, z: np.ndarray, axis: str):
+    """Per-graph softmax(pre)^T @ z over the node states of a
+    `graph.Stack`, one graph per output row.
 
     `pre` is the (B*N) x F attention-tower stack and `z` the (B*N) x F'
     features-tower stack. The weights are `attention_softmax(pre,
-    batch.mask, axis)`; row b of the B x (F*F') result is graph b's
+    stack.mask, axis)`; row k of the B x (F*F') result is graph k's
     F x F' pooled matrix in row-major order. Returns the result and its
     vjp `g -> (gpre, gz)`.
     """
-    b, n = batch.mask.shape
+    b, n = stack.mask.shape
     if pre.shape[0] != b * n or z.shape[0] != b * n:
         raise ShapeError(
             f"attention_pool: {pre.shape[0]} and {z.shape[0]} rows for {b} graphs of {n} nodes"
         )
     f, fz = pre.shape[1], z.shape[1]
-    att = attention_softmax(pre.reshape(b, n, f), batch.mask, axis)
+    att = attention_softmax(pre.reshape(b, n, f), stack.mask, axis)
     z3 = z.reshape(b, n, fz)
     pooled = np.matmul(att.transpose(0, 2, 1), z3)
     red, dots = (1, "bnf,bnf->bf") if axis == "nodes" else (2, "bnf,bnf->bn")

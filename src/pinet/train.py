@@ -22,7 +22,9 @@ ADAM_EPS = 1e-8
 
 # Graphs scored per forward pass in `evaluate`: large enough that the
 # per-op overhead is shared, small enough that each of a chunk's arrays
-# stays a few MiB at N = 128.
+# stays a few MiB even when the whole chunk falls in the size class of
+# N = 128. A chunk is stacked per size class, so smaller graphs cost
+# less.
 EVAL_CHUNK = 50
 
 
@@ -126,8 +128,8 @@ def evaluate(params: PiNetParams, graphs) -> float:
     """Fraction of graphs whose argmax prediction matches the label.
 
     Graphs are scored EVAL_CHUNK at a time in input order, one forward
-    pass per chunk padded to its largest N; ties break toward the lowest
-    class."""
+    pass per chunk over its stacks, one per size class, each padded to
+    its own largest N; ties break toward the lowest class."""
     graphs = list(graphs)
     if not graphs:
         raise DomainError("evaluate needs a non-empty dataset")

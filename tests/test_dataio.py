@@ -31,10 +31,15 @@ def _write_tu(root, name, a_lines, indicator, labels, node_labels=None):
 # -- Dataset container ---------------------------------------------------------
 
 def test_dataset_validates_shared_shape():
+    # graphs of different sizes share a dataset; the feature width d is
+    # the one shape they must share
     g1 = graph_from_edges(3, [(0, 1)])
     g2 = graph_from_edges(4, [(0, 1)])
+    ds = Dataset("sizes", (g1, g2), class_count=2, label_map={})
+    assert [g.n for g in ds.graphs] == [3, 4] and ds.n_pad == 4 and ds.d == 1
+    wide = graph_from_edges(4, [(0, 1)], features=Mat(np.ones((4, 2))))
     with pytest.raises(ShapeError):
-        Dataset("bad", (g1, g2), class_count=2, label_map={})
+        Dataset("bad", (g1, wide), class_count=2, label_map={})
 
 
 def test_dataset_validates_label_range():
@@ -44,9 +49,13 @@ def test_dataset_validates_label_range():
 
 
 def test_dataset_pad_must_be_tight():
-    g = pad_graph(graph_from_edges(3, [(0, 1)]), 6)
-    with pytest.raises(DomainError):
-        Dataset("loose", (g,), class_count=1, label_map={})
+    # a dataset stores every graph at its own size: padding is refused
+    # even up to the largest graph, which the old shared size required
+    small, large = graph_from_edges(3, [(0, 1)]), graph_from_edges(6, [(0, 1)])
+    assert Dataset("own", (small, large), class_count=1, label_map={}).n_pad == 6
+    for padded in (pad_graph(small, 6), pad_graph(small, 4)):
+        with pytest.raises(DomainError, match="own size"):
+            Dataset("loose", (padded, large), class_count=1, label_map={})
 
 
 @pytest.mark.parametrize("field, value", [
@@ -98,7 +107,8 @@ def test_tu_accepts_parent_directory(tmp_path):
 
 
 def test_tu_pads_to_max_and_maps_labels(tmp_path):
-    # graph 1: triangle on nodes 1..3 (label 7), graph 2: edge on 4..5 (label -1)
+    # graph 1: triangle on nodes 1..3 (label 7), graph 2: edge on 4..5
+    # (label -1); each is stored at its own size, and n_pad is the larger
     a = ["1, 2", "2, 1", "2, 3", "3, 2", "1, 3", "3, 1", "4, 5", "5, 4"]
     ind = ["1", "1", "1", "2", "2"]
     _write_tu(tmp_path, "TWO", a, ind, ["7", "-1"])
@@ -107,8 +117,51 @@ def test_tu_pads_to_max_and_maps_labels(tmp_path):
     assert ds.n_pad == 3
     assert ds.label_map == {-1: 0, 7: 1}
     assert [g.label for g in ds.graphs] == [1, 0]
-    assert ds.graphs[1].n_real == 2
-    assert (ds.graphs[1].adjacency.data[2, :] == 0).all()
+    assert [(g.n, g.n_real) for g in ds.graphs] == [(3, 3), (2, 2)]
+    np.testing.assert_array_equal(ds.graphs[1].adjacency.data, [[0, 1], [1, 0]])
+    np.testing.assert_array_equal(ds.graphs[1].features.data, [[1], [1]])
+
+
+@pytest.mark.parametrize("node_labels", [None, ["0", "2", "2", "5", "0", "0", "2", "5", "5"]],
+                         ids=["ones", "node-labels"])
+def test_loaders_store_each_graph_at_its_own_size(tmp_path, node_labels):
+    # graphs of 4, 1 and 4 nodes: load_tu and load_dataset both
+    # give N = n_real per graph, and n_pad the largest node count
+    a = ["1, 2", "2, 1", "3, 4", "4, 3", "6, 7", "7, 8", "8, 9"]
+    ind = ["1"] * 4 + ["2"] + ["3"] * 4
+    _write_tu(tmp_path, "OWN", a, ind, ["0", "1", "0"], node_labels)
+    ds = load_tu(tmp_path, "OWN")
+    save_dataset(ds, tmp_path / "own.jsonl")
+    back = load_dataset(tmp_path / "own.jsonl")
+    for loaded in (ds, back):
+        assert [(g.n, g.n_real) for g in loaded.graphs] == [(4, 4), (1, 1), (4, 4)]
+        assert loaded.n_pad == 4 and loaded.d == (1 if node_labels is None else 3)
+    for g, h in zip(ds.graphs, back.graphs):
+        assert g.adjacency.data.tobytes() == h.adjacency.data.tobytes()
+        assert g.features.data.tobytes() == h.features.data.tobytes()
+
+
+def test_tu_memory_follows_each_graphs_own_size(tmp_path):
+    # one 200-node path and 500 triangles: padding every graph to 200
+    # nodes held 501 x 200^2 adjacency entries (a 155 MiB peak); stored at
+    # their own sizes they take about 1 MiB
+    import tracemalloc
+
+    a = [f"{u}, {u + 1}" for u in range(1, 200)]
+    ind = ["1"] * 200
+    for gid in range(2, 502):
+        first = 201 + 3 * (gid - 2)
+        a += [f"{first}, {first + 1}", f"{first + 1}, {first + 2}", f"{first}, {first + 2}"]
+        ind += [str(gid)] * 3
+    _write_tu(tmp_path, "TAIL", a, ind, [str(i % 2) for i in range(501)])
+    tracemalloc.start()
+    try:
+        ds = load_tu(tmp_path, "TAIL")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == 501 and ds.n_pad == 200
+    assert peak < 16 * 2**20, f"load_tu peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_tu_node_labels_become_one_hot(tmp_path):
@@ -215,9 +268,8 @@ def test_fuzz_tu_files(tmp_path, files):
 # -- dataset file round trips ---------------------------------------------------
 
 def _toy_dataset():
-    gs = [  # the first graph padded, then relabelled: its padding still trails
-        permute_graph(pad_graph(graph_from_edges(3, [(0, 1), (1, 2)], label=0), 4),
-                      Permutation((1, 2, 0))),
+    gs = [  # graphs of two sizes, the first relabelled
+        permute_graph(graph_from_edges(3, [(0, 1), (1, 2)], label=0), Permutation((1, 2, 0))),
         graph_from_edges(4, [(0, 1), (2, 3)], label=1),
     ]
     return Dataset("toy", tuple(gs), class_count=2, label_map={0: 0, 1: 1})
@@ -240,6 +292,8 @@ def test_atomic_write_replaces_only_on_success(tmp_path):
 
 
 def test_save_load_round_trip(tmp_path):
+    # every graph comes back at its own size with its bytes: adjacency,
+    # features, n_real and label; the header keeps n_pad, the largest N
     ds = _toy_dataset()
     path = tmp_path / "toy.jsonl"
     save_dataset(ds, path)
@@ -247,11 +301,15 @@ def test_save_load_round_trip(tmp_path):
     assert back.name == ds.name
     assert back.class_count == ds.class_count
     assert back.label_map == ds.label_map
+    assert back.n_pad == ds.n_pad == 4
     assert len(back) == len(ds)
     for a, b in zip(back.graphs, ds.graphs):
-        np.testing.assert_array_equal(a.adjacency.data, b.adjacency.data)
-        np.testing.assert_array_equal(a.features.data, b.features.data)
-        assert a.label == b.label and a.n_real == b.n_real
+        assert a.n == a.n_real == b.n == b.n_real
+        assert a.adjacency.data.tobytes() == b.adjacency.data.tobytes()
+        assert a.features.data.tobytes() == b.features.data.tobytes()
+        assert a.label == b.label
+    save_dataset(back, tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
 
 def test_load_rejects_a_graph_without_nodes(tmp_path):

@@ -1,6 +1,6 @@
-"""`tools/fingerprint.py` runs against the package and prints its four
+"""`tools/fingerprint.py` runs against the package and prints its five
 sha256 lines: the gen-iso bytes, the seeded fits, the selfcheck results,
-then what the loaders return."""
+what the loaders return, then the seeded fits stacked per size class."""
 
 import os
 import re
@@ -11,11 +11,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_fingerprint_prints_four_digests():
+def test_fingerprint_prints_five_digests():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "fingerprint.py")], cwd=ROOT,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     lines = proc.stdout.splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 5
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in lines)

@@ -10,7 +10,6 @@ import pytest
 
 from pinet.errors import DomainError, ShapeError
 from pinet.graph import (
-    Batch,
     LabeledGraph,
     Permutation,
     edges_of,
@@ -38,7 +37,7 @@ def test_graph_from_edges_defaults():
     g = _triangle()
     assert g.n == 3 and g.n_real == 3 and g.d == 1
     np.testing.assert_array_equal(g.features.data, np.ones((3, 1)))
-    np.testing.assert_array_equal(make_batch([g], 2).mask, [[True, True, True]])
+    np.testing.assert_array_equal(make_batch([g], 2).stacks[0].mask, [[True, True, True]])
 
 
 def test_graph_requires_symmetry():
@@ -358,7 +357,8 @@ def test_pad_triangle_to_five():
     np.testing.assert_array_equal(g.adjacency.data[:3, :3], _triangle().adjacency.data)
     assert (g.adjacency.data[3:, :] == 0).all()
     assert (g.features.data[3:, :] == 0).all()
-    np.testing.assert_array_equal(make_batch([g], 2).mask, [[True, True, True, False, False]])
+    np.testing.assert_array_equal(make_batch([g], 2).stacks[0].mask,
+                                  [[True, True, True, False, False]])
 
 
 def test_pad_below_size_rejected():
@@ -381,8 +381,9 @@ def test_batch_two_graphs_labels():
 
 
 def test_batch_pads_to_largest_size():
-    # graphs of N = 3, 5 and 6 (one of them permuted after padding) in one
-    # stack give each graph's own loss and prediction
+    # graphs of N = 3, 5 and 6 (one of them permuted after padding) fall
+    # in the size classes 2, 3 and 3: two stacks, each padded to its own
+    # largest N, that give each graph its own loss and prediction
     from pinet.model import PiNetConfig, init_params, loss_batch, predict_class, predict_classes
 
     moved = permute_graph(pad_graph(graph_from_edges(4, [(0, 1), (1, 3)]), 6),
@@ -390,10 +391,15 @@ def test_batch_pads_to_largest_size():
     graphs = [_path3(), pad_graph(graph_from_edges(4, [(0, 1), (1, 2), (2, 3)], label=1), 5),
               moved]
     b = make_batch(graphs, class_count=2)
-    assert b.adj.shape == (3, 6, 6) and b.x.shape == (18, 1) and b.mask.shape == (3, 6)
-    assert not any(a.flags.writeable for a in (b.labels, b.adj, b.x, b.mask, b.deg))
-    np.testing.assert_array_equal(b.mask, [[1, 1, 1, 0, 0, 0], [1, 1, 1, 1, 0, 0],
-                                           [1, 1, 1, 1, 0, 0]])
+    assert len(b) == 3 and b.labels.shape == (3, 2) and len(b.stacks) == 2
+    small, large = b.stacks
+    assert small.rows.tolist() == [0] and large.rows.tolist() == [1, 2]
+    assert small.adj.shape == (1, 3, 3) and small.x.shape == (3, 1) and small.mask.shape == (1, 3)
+    assert large.adj.shape == (2, 6, 6) and large.x.shape == (12, 1) and large.mask.shape == (2, 6)
+    for s in b.stacks:
+        assert not any(a.flags.writeable for a in (b.labels, s.rows, s.adj, s.x, s.mask, s.deg))
+    np.testing.assert_array_equal(small.mask, [[1, 1, 1]])
+    np.testing.assert_array_equal(large.mask, [[1, 1, 1, 1, 0, 0], [1, 1, 1, 1, 0, 0]])
     for axis in ("nodes", "features"):
         params = init_params(PiNetConfig(d=1, C=2, F0=5, F1=4, attention_axis=axis, seed=2))
         singles = sum(loss_batch(make_batch([g], 2), params).item() for g in graphs)
@@ -402,14 +408,49 @@ def test_batch_pads_to_largest_size():
 
 
 def test_batch_degrees_per_graph_zero_on_padding():
+    # N = 3, 5 and 2 are three size classes: one stack each, smallest
+    # class first, each graph's degrees in its own stack
     graphs = [_triangle(), pad_graph(graph_from_edges(4, [(0, 1), (1, 2)], label=1), 5),
               graph_from_edges(2, [])]
     b = make_batch(graphs, class_count=2)
-    want = np.zeros((3, 5))
+    assert [s.rows.tolist() for s in b.stacks] == [[2], [0], [1]]
+    for s in b.stacks:
+        (g,) = (graphs[r] for r in s.rows)
+        np.testing.assert_array_equal(s.deg, g.adjacency.data.sum(axis=1, keepdims=True))
+    np.testing.assert_array_equal(np.concatenate([s.deg[:, 0] for s in b.stacks]),
+                                  [0, 0, 2, 2, 2, 1, 2, 1, 0, 0])
+
+
+def test_batch_one_size_class_is_one_stack():
+    # N = 5 to 8 share a size class: one stack padded to 8, rows in input
+    # order, laid out exactly as a single padded stack
+    rng = np.random.default_rng(3)
+    graphs = [pad_graph(graph_from_edges(n, [(0, 1), (1, n - 1)], label=n % 2,
+                                         features=Mat(rng.normal(size=(n, 2)))), n + 2 * (n == 6))
+              for n in (7, 5, 6, 8, 5)]
+    b = make_batch(graphs, class_count=2)
+    (s,) = b.stacks
+    assert s.rows.tolist() == [0, 1, 2, 3, 4]
+    adj, x, mask = np.zeros((5, 8, 8)), np.zeros((5, 8, 2)), np.zeros((5, 8), dtype=bool)
     for k, g in enumerate(graphs):
-        want[k, :g.n] = g.adjacency.data.sum(axis=1)
-    np.testing.assert_array_equal(b.deg, want.reshape(-1, 1))
-    np.testing.assert_array_equal(b.deg[:, 0], [2, 2, 2, 0, 0, 1, 2, 1, 0, 0, 0, 0, 0, 0, 0])
+        adj[k, :g.n, :g.n] = g.adjacency.data
+        x[k, :g.n] = g.features.data
+        mask[k, :g.n_real] = True
+    np.testing.assert_array_equal(s.adj, adj)
+    np.testing.assert_array_equal(s.x, x.reshape(40, 2))
+    np.testing.assert_array_equal(s.mask, mask)
+    np.testing.assert_array_equal(s.deg, adj.sum(axis=2).reshape(-1, 1))
+    np.testing.assert_array_equal(b.labels, np.eye(2)[[g.label for g in graphs]])
+
+
+def test_batch_groups_by_stored_size():
+    # the size class follows the stored N, padding included: a 3-node
+    # graph padded to 8 stacks with the 8-node graph, not the 3-node one
+    three, padded, eight = _triangle(), pad_graph(_path3(), 8), graph_from_edges(8, [(0, 7)])
+    b = make_batch([three, padded, eight], class_count=1)
+    assert [s.rows.tolist() for s in b.stacks] == [[0], [1, 2]]
+    assert b.stacks[1].adj.shape == (2, 8, 8)
+    np.testing.assert_array_equal(b.stacks[1].mask.sum(axis=1), [3, 8])
 
 
 def _cross_validate_k(k):

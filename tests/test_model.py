@@ -39,7 +39,7 @@ from pinet.model import (
     predict_classes,
     save_params,
 )
-from pinet.tensor import Mat, Tape, backward, grad_check, propagate
+from pinet.tensor import Mat, Tape, attention_pool, backward, grad_check, propagate
 
 
 def _triangle(label=0):
@@ -337,13 +337,13 @@ def test_pq_gradients_flow():
 
 # -- the rank-2 first layer ---------------------------------------------------
 
-def _dense_tower(batch, values, kind, grads):
+def _dense_tower(stack, values, kind, grads):
     """The reference tower: relu(At0 X W0) W1 built as a (B*N) x F0
     stack, whatever the input width."""
     w0, w1 = values[f"w_{kind}0"].data, values[f"w_{kind}1"].data
-    u, vjp0 = propagate(batch, batch.x, values[f"p_{kind}0"], values[f"q_{kind}0"])
+    u, vjp0 = propagate(stack, stack.x, values[f"p_{kind}0"], values[f"q_{kind}0"])
     h = np.maximum(u @ w0, 0.0)
-    out, vjp1 = propagate(batch, h @ w1, values[f"p_{kind}1"], values[f"q_{kind}1"])
+    out, vjp1 = propagate(stack, h @ w1, values[f"p_{kind}1"], values[f"q_{kind}1"])
     top = np.maximum(out, 0.0) if kind == "x" else out
 
     def vjp(g):
@@ -380,13 +380,13 @@ _PQ_POINTS = [*CORNERS, (0.3, 0.8), (0.65, 0.15)]
 @pytest.mark.parametrize("kind", ["x", "a"])
 @pytest.mark.parametrize("pq", _PQ_POINTS, ids=str)
 def test_tower_matches_dense_reference(d, kind, pq):
-    batch = _signed_stack(d)
+    (stack,) = _signed_stack(d).stacks
     params = init_params(_small_config(d=d, F0=7, F1=5, seed=4))
     values = params.replaced({k: Mat.scalar(pq[0] if k[0] == "p" else pq[1])
                               for k in PQ_NAMES}).values
     grads = tuple(params.trainables())
-    top, vjp = _tower(batch, values, kind, grads)
-    ref_top, ref_vjp = _dense_tower(batch, values, kind, grads)
+    top, vjp = _tower(stack, values, kind, grads)
+    ref_top, ref_vjp = _dense_tower(stack, values, kind, grads)
     assert _close(top, ref_top)
     g = np.random.default_rng(5).normal(size=top.shape)
     got, ref = vjp(g.copy()), ref_vjp(g.copy())
@@ -429,6 +429,99 @@ def test_rank2_layer_keeps_padded_rows_zero():
         params = init_params(_small_config(pq_mode="fixed", fixed_p=pq[0], fixed_q=pq[1]))
         out = forward_features(g, params).data
         assert np.all(out[4:] == 0.0) and np.any(out[:4] != 0.0)
+
+
+# -- stacks per size class ----------------------------------------------------
+
+def _mixed_sizes(d, seed=31):
+    """Graphs of 2 to 17 nodes in five size classes, shuffled, with
+    features of both signs, and a few padded by the caller."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for i, n in enumerate(rng.permutation([2, 3, 4, 5, 7, 8, 9, 12, 16, 17, 6, 3])):
+        g = _random_graph(rng, int(n), d=d, label=i % 3)
+        g = replace(g, features=Mat(rng.normal(size=(g.n, d))))
+        graphs.append(pad_graph(g, g.n + int(rng.integers(0, 3)) * (i % 4 == 0)))
+    return graphs
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("pq_mode", ["learned", "fixed"])
+@pytest.mark.parametrize("axis", ["nodes", "features"])
+def test_size_class_stacks_match_one_padded_stack(d, pq_mode, axis):
+    # the same graphs padded to one size form today's single stack; the
+    # stacks per size class give its loss and every gradient to 1e-12,
+    # on either first layer (d = 1: `_rank2_layer`, d = 3: `_dense_layer`)
+    graphs = _mixed_sizes(d)
+    batch = make_batch(graphs, 3)
+    n = max(g.n for g in graphs)
+    one = make_batch([pad_graph(g, n) for g in graphs], 3)
+    assert len(batch.stacks) >= 3 and len(one.stacks) == 1
+    params = init_params(_small_config(d=d, C=3, F0=7, F1=5, attention_axis=axis,
+                                       pq_mode=pq_mode, fixed_p=0.4, fixed_q=0.7, seed=8))
+    if pq_mode == "learned":
+        params = params.replaced({k: Mat.scalar(0.15 + 0.1 * i) for i, k in enumerate(PQ_NAMES)})
+    loss, grads = grads_batch(batch, params)
+    ref_loss, ref_grads = grads_batch(one, params)
+    assert _close(np.array(loss), np.array(ref_loss))
+    assert _close(np.array(loss_batch(batch, params).item()), np.array(ref_loss))
+    assert list(grads) == list(ref_grads) == list(params.trainables())
+    for k in grads:
+        assert _close(grads[k].data, ref_grads[k].data), k
+
+
+def test_predictions_keep_input_order():
+    from pinet.train import evaluate
+
+    graphs = _mixed_sizes(2, seed=32)
+    params = init_params(_small_config(d=2, C=3, F0=7, F1=5, seed=9))
+    assert len(make_batch(graphs, 3).stacks) >= 3
+    singles = [predict_class(params, g) for g in graphs]
+    assert len(set(singles)) > 1
+    assert predict_classes(params, graphs).tolist() == singles
+    hits = [c == g.label for c, g in zip(singles, graphs)]
+    assert evaluate(params, graphs) == sum(hits) / len(graphs)
+    assert evaluate(params, graphs[::-1]) == sum(hits) / len(graphs)
+
+
+def _one_stack_step(stack, labels, params):
+    """Loss and gradients of one stack written as a single readout over
+    it, with no rows gathered or scattered."""
+    values, grads = params.values, tuple(params.trainables())
+    z, vjp_x = _tower(stack, values, "x", grads)
+    pre, vjp_a = _tower(stack, values, "a", grads)
+    pooled, vjp_pool = attention_pool(stack, pre, z, params.config.attention_axis)
+    wd = values["w_d"].data
+    logits = pooled @ wd
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    zc = np.maximum(probs, model.CROSS_ENTROPY_EPS)
+    loss = -(labels * np.log(zc)).sum()
+    g = np.where(probs >= model.CROSS_ENTROPY_EPS, -labels / zc, 0.0)
+    g = probs * (g - (g * probs).sum(axis=1, keepdims=True))
+    got = {"w_d": pooled.T @ g}
+    gpre, gz = vjp_pool(g @ wd.T)
+    got.update(vjp_a(gpre))
+    got.update(vjp_x(gz))
+    return loss, got
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("axis", ["nodes", "features"])
+def test_one_size_class_is_the_single_stack_step(d, axis):
+    # graphs of 9 to 16 nodes, some padded by the caller, share a size
+    # class: one stack, and the step is bit for bit a single readout over it
+    rng = np.random.default_rng(33)
+    graphs = [pad_graph(_random_graph(rng, n, d=d, label=n % 2), max(n, 11))
+              for n in (9, 16, 12, 10, 14)]
+    batch = make_batch(graphs, 2)
+    (stack,) = batch.stacks
+    params = init_params(_small_config(d=d, F0=7, F1=5, attention_axis=axis, seed=10))
+    loss, grads = grads_batch(batch, params)
+    ref_loss, ref_grads = _one_stack_step(stack, batch.labels, params)
+    assert loss == ref_loss
+    for k in grads:
+        np.testing.assert_array_equal(grads[k].data, ref_grads[k])
 
 
 # -- the tape adapter ---------------------------------------------------------

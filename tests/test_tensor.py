@@ -6,6 +6,7 @@ model composes around them, the `Tape`/`backward` adapter over that
 chain, and `grad_check` itself.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from pinet import model
 from pinet.errors import DomainError, NumericalError, ShapeError, TapeError
-from pinet.graph import LabeledGraph, graph_from_edges, make_batch, propagation_matrix
+from pinet.graph import LabeledGraph, graph_from_edges, make_batch, pad_graph, propagation_matrix
 from pinet.model import PiNetConfig, forward, grads_batch, init_params, loss_batch
 from pinet.tensor import (
     Mat,
@@ -98,9 +99,9 @@ def test_mat_constructors():
 def test_matmul_identity():
     # on an edgeless stack At(1, 1) = I, so propagate and its vjp both
     # return their argument unchanged
-    batch = make_batch([graph_from_edges(3, [])], 1)
+    (stack,) = make_batch([graph_from_edges(3, [])], 1).stacks
     h = np.random.default_rng(0).normal(size=(3, 4))
-    out, vjp = propagate(batch, h, 1.0, 1.0)
+    out, vjp = propagate(stack, h, 1.0, 1.0)
     np.testing.assert_array_equal(out, h)
     np.testing.assert_array_equal(vjp(h, False)[0], h)
 
@@ -158,9 +159,9 @@ def test_relu_values():
     # tower's, the features tower is exactly the relu of the attention one
     params = _params(F1=5)
     params = params.replaced({k.replace("_x", "_a"): params[k] for k in params.values if "_x" in k})
-    batch = make_batch([_star()], 2)
-    z = model._tower(batch, params.values, "x", ())[0]
-    pre = model._tower(batch, params.values, "a", ())[0]
+    (stack,) = make_batch([_star()], 2).stacks
+    z = model._tower(stack, params.values, "x", ())[0]
+    pre = model._tower(stack, params.values, "a", ())[0]
     assert (pre < 0).any() and (pre > 0).any()
     np.testing.assert_array_equal(z, np.maximum(pre, 0.0))
 
@@ -217,30 +218,37 @@ def test_attention_softmax_sums_to_one_under_mask():
 
 # -- stacked message passing and attention pooling -----------------------------
 
-def _path_batch():
-    """A 2-graph stack of N = 3 from `make_batch`: a path 0-1 and an empty graph."""
-    return make_batch([graph_from_edges(3, [(0, 1)]), graph_from_edges(2, [])], 1)
+def _path_stacks():
+    """A path 0-1 of N = 3 and an empty graph of N = 2 from `make_batch`:
+    two size classes, so two stacks, smallest first."""
+    return make_batch([graph_from_edges(3, [(0, 1)]), graph_from_edges(2, [])], 1).stacks
 
 
 def test_propagate_rejects_bad_stacks():
-    batch, h = _path_batch(), np.ones((6, 2))
-    with pytest.raises(ShapeError):
-        propagate(batch, np.ones((5, 2)), 0.5, 0.5)
-    with pytest.raises(DomainError):
-        propagate(batch, h, 1.5, 0.5)
-    with pytest.raises(DomainError):
-        propagate(batch, h, 0.5, -0.5)
+    # each stack takes exactly its own B*N rows: the batch's 5 rows fit
+    # neither of its stacks
+    empty, path = _path_stacks()
+    assert (empty.rows.tolist(), path.rows.tolist()) == ([1], [0])
+    for stack, rows in ((empty, 2), (path, 3)):
+        assert propagate(stack, np.ones((rows, 2)), 0.5, 0.5)[0].shape == (rows, 2)
+        with pytest.raises(ShapeError):
+            propagate(stack, np.ones((5, 2)), 0.5, 0.5)
+        with pytest.raises(DomainError):
+            propagate(stack, np.ones((rows, 2)), 1.5, 0.5)
+        with pytest.raises(DomainError):
+            propagate(stack, np.ones((rows, 2)), 0.5, -0.5)
 
 
 def test_propagate_checks_matrix_pq_by_value():
-    batch, h = _path_batch(), np.ones((6, 2))
+    _, path = _path_stacks()
+    h = np.ones((3, 2))
     with pytest.raises(DomainError):
-        propagate(batch, h, Mat.scalar(2.0), Mat.scalar(-1.0))
+        propagate(path, h, Mat.scalar(2.0), Mat.scalar(-1.0))
     tape = Tape()
     with pytest.raises(DomainError):
-        propagate(batch, h, tape.leaf(Mat.scalar(1.5), "p"), 0.5)
-    out = propagate(batch, h, tape.leaf(Mat.scalar(0.5), "p2"), tape.leaf(Mat.scalar(0.5), "q2"))[0]
-    np.testing.assert_array_equal(out, propagate(batch, h, 0.5, 0.5)[0])
+        propagate(path, h, tape.leaf(Mat.scalar(1.5), "p"), 0.5)
+    out = propagate(path, h, tape.leaf(Mat.scalar(0.5), "p2"), tape.leaf(Mat.scalar(0.5), "q2"))[0]
+    np.testing.assert_array_equal(out, propagate(path, h, 0.5, 0.5)[0])
 
 
 @pytest.mark.parametrize("data", [
@@ -280,7 +288,7 @@ def test_non_finite_result_is_a_numerical_error():
     params = init_params(config).replaced({**ones, "w_d": Mat([[1e-308, 0.0]])})
     with np.errstate(over="ignore"):
         with pytest.raises(NumericalError):  # (A + I) 1e308 on a triangle
-            propagate(make_batch([_triangle()], 1), big, 1.0, 1.0)
+            propagate(make_batch([_triangle()], 1).stacks[0], big, 1.0, 1.0)
         with pytest.raises(NumericalError):  # 1e308 * 2 in the first product
             forward(_triangle(features=Mat(big)), params.replaced({"w_x0": Mat.scalar(2.0)}))
         # finite forward, overflowing gradient: pooled rows of 1e308 summed
@@ -318,13 +326,13 @@ def test_fused_layer_check_catches_detached_pq(monkeypatch, arg):
 
 def test_attention_pool_zero_weight_on_padding():
     rng = np.random.default_rng(8)
-    batch = make_batch([graph_from_edges(3, [(0, 1)], n_real=2), _triangle()], 2)
-    np.testing.assert_array_equal(batch.mask, [[True, True, False], [True, True, True]])
+    (stack,) = make_batch([graph_from_edges(3, [(0, 1)], n_real=2), _triangle()], 2).stacks
+    np.testing.assert_array_equal(stack.mask, [[True, True, False], [True, True, True]])
     pre = rng.normal(size=(6, 2))
     z = np.zeros((6, 3))
     z[2] = 1e6  # a padded node's state must not reach the pooled rows
     for axis in ("nodes", "features"):
-        out = attention_pool(batch, pre, z, axis)[0]
+        out = attention_pool(stack, pre, z, axis)[0]
         assert out.shape == (2, 6)
         np.testing.assert_array_equal(out[0], np.zeros(6))
 
@@ -332,15 +340,20 @@ def test_attention_pool_zero_weight_on_padding():
 def test_grad_check_attention_pool():
     # the vjp of G is the gradient of sum(G * pooled)
     rng = np.random.default_rng(9)
-    batch = make_batch([graph_from_edges(4, [(0, 2)], n_real=3), graph_from_edges(2, [])], 2)
-    g = rng.normal(size=(2, 6))
-    for axis in ("nodes", "features"):
-        params = {"pre": Mat(rng.normal(size=(8, 2))), "z": Mat(rng.normal(size=(8, 3)))}
+    # on each stack of a batch that spans two size classes, and on a
+    # stack of two graphs, one of them padded
+    batch = make_batch([graph_from_edges(4, [(0, 2)], n_real=3), graph_from_edges(2, []),
+                        pad_graph(graph_from_edges(3, [(0, 1)]), 4)], 2)
+    assert [s.adj.shape for s in batch.stacks] == [(1, 2, 2), (2, 4, 4)]
+    for stack, axis in itertools.product(batch.stacks, ("nodes", "features")):
+        b, n = stack.mask.shape
+        g = rng.normal(size=(b, 6))
+        params = {"pre": Mat(rng.normal(size=(b * n, 2))), "z": Mat(rng.normal(size=(b * n, 3)))}
 
         def loss(p):
-            return float((g * attention_pool(batch, p["pre"].data, p["z"].data, axis)[0]).sum())
+            return float((g * attention_pool(stack, p["pre"].data, p["z"].data, axis)[0]).sum())
 
-        gpre, gz = attention_pool(batch, params["pre"].data, params["z"].data, axis)[1](g)
+        gpre, gz = attention_pool(stack, params["pre"].data, params["z"].data, axis)[1](g)
         report = grad_check(loss, {"pre": Mat(gpre), "z": Mat(gz)}, params, step=1e-5, tol=1e-6)
         assert report.ok, report.failures[:3]
 
@@ -495,7 +508,8 @@ def test_untracked_ops_stay_untracked():
     # intermediates outlives the call
     batch, params = make_batch([_star()], 2), _params()
     assert model._forward(batch, params, ())[2] is None
-    assert model._tower(batch, params.values, "x", ())[1] is None
+    assert model._tower(batch.stacks[0], params.values, "x", ())[1] is None
+    assert model._pool(batch.stacks[0], params.values, "nodes", ())[1] is None
     assert not loss_batch(batch, params).is_tracked
 
 

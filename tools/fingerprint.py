@@ -1,4 +1,4 @@
-"""Print four sha256 digests that pin down what the package computes.
+"""Print five sha256 digests that pin down what the package computes.
 
 Line 1 hashes the bytes `gen-iso` writes (dataset and provenance) for
 seeds 0, 3 and 7 at 20 nodes, 3 classes and 20 copies per class.
@@ -17,7 +17,11 @@ adjacency bytes and feature bytes: `load_dataset` of the saved seed-0
 gen-iso set, and `load_tu` of a small mixed-size text layout that the
 tool writes, once with a node-label file and once without.
 
-A change that should not alter any result prints the same four lines as
+Line 5 hashes the same seeded fits and `evaluate` accuracies as line 2
+on the mixed-size set stored at its own sizes, so that each batch is
+stacked per size class.
+
+A change that should not alter any result prints the same five lines as
 its parent. Run it against a source tree with
 
     PYTHONPATH=<tree>/src python tools/fingerprint.py
@@ -49,30 +53,49 @@ def gen_iso_digest(tmp: Path) -> str:
     return h.hexdigest()
 
 
-def mixed_padded_graphs(count=36, classes=3, seed=5):
-    """Connected graphs of 3 to 24 nodes, each padded to the largest."""
+def mixed_graphs(count=36, classes=3, seed=5):
+    """Connected graphs of 3 to 24 nodes, each at its own size."""
     rng = np.random.default_rng(seed)
-    graphs = [replace(sample_er_connected(int(n), 0.3, rng), label=i % classes)
-              for i, n in enumerate(rng.integers(3, 25, size=count))]
+    return [replace(sample_er_connected(int(n), 0.3, rng), label=i % classes)
+            for i, n in enumerate(rng.integers(3, 25, size=count))]
+
+
+def mixed_padded_graphs():
+    """`mixed_graphs`, each padded to the largest: one size class."""
+    graphs = mixed_graphs()
     n_pad = max(g.n for g in graphs)
     return [pad_graph(g, n_pad) for g in graphs]
+
+
+def update_with_fits(h, graphs, tmp: Path | None = None):
+    """Feed `h` the seeded fits of `graphs` in learned and fixed mode on
+    both attention axes: every parameter, the epoch losses, the step
+    count, the `evaluate` accuracy and, given `tmp`, the checkpoint bytes."""
+    for pq_mode in ("learned", "fixed"):
+        for axis in ("nodes", "features"):
+            mc = PiNetConfig(d=1, C=3, F0=12, F1=8, attention_axis=axis,
+                             pq_mode=pq_mode, seed=1)
+            res = fit(graphs, TrainConfig(batch_size=16, epochs=3, seed=2), mc)
+            for name in sorted(res.params.values):
+                h.update(name.encode())
+                h.update(res.params[name].data.tobytes())
+            h.update(repr((res.epoch_losses, res.steps, evaluate(res.params, graphs))).encode())
+            if tmp is not None:
+                save_params(res.params, tmp / "params.json")
+                h.update((tmp / "params.json").read_bytes())
 
 
 def fit_digest(tmp: Path) -> str:
     iso, _ = generate_iso_dataset(GenParams(n_nodes=20, classes=3, copies=20, seed=0))
     h = hashlib.sha256()
     for graphs in (iso.graphs, mixed_padded_graphs()):
-        for pq_mode in ("learned", "fixed"):
-            for axis in ("nodes", "features"):
-                mc = PiNetConfig(d=1, C=3, F0=12, F1=8, attention_axis=axis,
-                                 pq_mode=pq_mode, seed=1)
-                res = fit(graphs, TrainConfig(batch_size=16, epochs=3, seed=2), mc)
-                for name in sorted(res.params.values):
-                    h.update(name.encode())
-                    h.update(res.params[name].data.tobytes())
-                h.update(repr((res.epoch_losses, res.steps, evaluate(res.params, graphs))).encode())
-                save_params(res.params, tmp / "params.json")
-                h.update((tmp / "params.json").read_bytes())
+        update_with_fits(h, graphs, tmp)
+    return h.hexdigest()
+
+
+def stacked_fit_digest() -> str:
+    h = hashlib.sha256()
+    update_with_fits(h, mixed_graphs())
     return h.hexdigest()
 
 
@@ -129,6 +152,7 @@ def main():
         print(f"{fit_digest(tmp)}  fit, evaluate and checkpoints")
         print(f"{selfcheck_digest()}  selfcheck run_all, seed 0")
         print(f"{loader_digest(tmp)}  load_dataset and load_tu")
+        print(f"{stacked_fit_digest()}  fit and evaluate, mixed sizes stacked per size class")
 
 
 if __name__ == "__main__":
