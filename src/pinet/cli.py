@@ -101,8 +101,9 @@ def _echo_config(args, extra=None):
 
 def _check_outputs(inputs: dict, outputs: dict):
     """Refuse, before any file is read or written, an output that names
-    an input or another output, or whose directory does not exist. Both
-    map a flag to its path; an unset path is skipped."""
+    an input or another output, that exists and is not a regular file
+    (a directory, a FIFO, a device), or whose directory does not exist.
+    Both map a flag to its path; an unset path is skipped."""
     seen = {os.path.realpath(path): flag for flag, path in inputs.items() if path}
     for flag, path in outputs.items():
         if not path:
@@ -110,6 +111,8 @@ def _check_outputs(inputs: dict, outputs: dict):
         real = os.path.realpath(path)
         if real in seen:
             raise DomainError(f"{flag} {path} names the same file as {seen[real]}")
+        if os.path.exists(real) and not os.path.isfile(real):  # os.stat only, never opened
+            raise DomainError(f"{flag} {path} exists and is not a regular file")
         if not os.path.isdir(os.path.dirname(real)):
             raise DomainError(f"{flag} {path}: no such directory")
         seen[real] = flag

@@ -17,8 +17,8 @@ import numpy as np
 
 from .dataio import Dataset, _real, _real_field, read_document, write_document
 from .errors import DomainError, GenerationError
-from .graph import (LabeledGraph, Permutation, _check_int_fields, _int_array, _is_int, edges_of,
-                    graph_from_edges, permute_graph, random_permutation)
+from .graph import (LabeledGraph, Permutation, _as_rng, _check_int_fields, _int_array, _is_int,
+                    edges_of, graph_from_edges, permute_graph, random_permutation)
 
 ER_RETRY_CAP = 10_000
 BASE_RETRY_CAP = 100
@@ -41,10 +41,6 @@ class GenParams:
 def degree_sequence_of(g: LabeledGraph) -> tuple[int, ...]:
     """Degrees of the real nodes, in node order."""
     return tuple(g.adjacency.data[:g.n_real].sum(axis=1).astype(int).tolist())
-
-
-def _as_rng(seed) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
 def _is_connected(adj: np.ndarray) -> bool:
@@ -261,21 +257,7 @@ def load_provenance(path) -> IsoProvenance:
     `params` in `GenParams`, edge lists in `graph_from_edges` (returned
     in `edges_of` order), permutations in `Permutation`. A missing or
     malformed entry raises DataFormatError naming the path and entry."""
-    doc, bad = read_document(path, PROVENANCE_FORMAT, "provenance")
-
-    def checked(entry: str, build, per_item: bool = False):
-        if entry not in doc:
-            raise bad(entry, "is missing")
-        value = doc[entry]
-        try:
-            if not per_item:
-                return build(value)
-            if not isinstance(value, list):
-                raise DomainError("must be a list")
-            return tuple(map(build, value))
-        except (TypeError, DomainError) as e:
-            raise bad(entry, f"is invalid ({e})") from None
-
+    checked, bad = read_document(path, PROVENANCE_FORMAT, "provenance")
     params = checked("params", lambda raw: GenParams(**raw))
     n, classes = params.n_nodes, params.classes
     # n x n graphs are built only once n degrees have been read, so their

@@ -3,18 +3,22 @@
 The public molecule benchmarks ship as plain text: an edge file of
 1-indexed global node pairs, a node-to-graph indicator file, a graph
 label file, and optionally a node label file. `load_tu` reads that
-layout. Internally datasets persist as line-delimited JSON, one graph
-per line under a header record. Provenance sidecars and checkpoints
-are single JSON documents, written by `write_document` and read by
-`read_document`; `_real` reads a real scalar by the `Mat.scalar` rule,
-and `_real_field` a config's real field by it. Integers are checked by
-the integer rule of `graph`.
+layout: `_int_rows`, the one reader of its lines, reads each file once
+into an int64 table with each row's line number, and numpy groups nodes
+and edges by graph. Internally datasets persist as line-delimited JSON,
+one graph per line under a header record, which `load_dataset` reads a
+line at a time. Provenance sidecars and checkpoints are single JSON
+documents, written by `write_document` and read by `read_document`,
+whose `checked` reads each entry. `_real` reads a real scalar by the
+`Mat.scalar` rule, and `_real_field` a config's real field by it.
+Integers are checked by the integer rule of `graph`.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -22,7 +26,7 @@ import numpy as np
 
 from .errors import DataFormatError, DomainError, ShapeError
 from .graph import (
-    LabeledGraph, _check_int_fields, _int_array, _is_int, edges_of, graph_from_edges,
+    LabeledGraph, _check_int_fields, _is_int, edges_of, graph_from_edges,
 )
 from .tensor import Mat
 
@@ -107,21 +111,44 @@ class Dataset:
         return sum(g.label == cls for g in self.graphs) / len(self.graphs)
 
 
-def _read_lines(path) -> list[str]:
+def _lines(path):
+    """Each line of the text file at `path` with its 1-based number, read
+    one at a time. Bytes that do not decode raise DataFormatError naming
+    the path."""
     with open(path) as fh:
         try:
-            return fh.read().splitlines()
+            yield from enumerate(fh, start=1)
         except UnicodeDecodeError as e:
-            raise DataFormatError(f"undecodable byte at offset {e.start}", path=str(path)) from None
+            raise DataFormatError(f"undecodable byte ({e.reason})", path=str(path)) from None
 
 
-def _parse_int(text: str, path, line_no: int) -> int:
+def _int_rows(path, width: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Every non-blank line of the text file at `path` as `width`
+    comma-separated integers: an n x `width` int64 table and each row's
+    1-based line number. A line that is not `what`, or an integer outside
+    int64, raises DataFormatError naming the path and the line."""
+    line_nos = array("q")
+
+    def rows():
+        for line_no, text in _lines(path):
+            if not text.strip():
+                continue
+            line_nos.append(line_no)
+            try:
+                row = tuple(map(int, text.split(",")))
+            except ValueError:
+                row = ()
+            if len(row) != width:
+                raise DataFormatError(f"expected {what}, got {text.strip()!r}",
+                                      path=path, line=line_no)
+            yield row
+
     try:
-        return int(text.strip())
-    except ValueError:
-        raise DataFormatError(
-            f"expected an integer, got {text.strip()!r}", path=path, line=line_no
-        ) from None
+        table = np.fromiter(rows(), dtype=(np.int64, width))
+    except OverflowError:  # from the row just read, whose line number is the last
+        raise DataFormatError("integer outside the int64 range", path=path,
+                              line=line_nos[-1]) from None
+    return table, np.frombuffer(line_nos, dtype=np.int64)
 
 
 def tu_files(dir_path, dataset_name: str) -> tuple[tuple[str, str, str], str]:
@@ -138,6 +165,27 @@ def tu_files(dir_path, dataset_name: str) -> tuple[tuple[str, str, str], str]:
     return (a, ind, labels), nodes
 
 
+def _tu_edges(path, node_graph, node_local, n_graphs: int) -> list[np.ndarray]:
+    """The edge file at `path` (1-based global node pairs) as one array of
+    local node pairs per graph, self-loops dropped. An edge that names no
+    node, or spans two graphs, raises DataFormatError naming its line."""
+    edges, line_nos = _int_rows(path, 2, "'u, v'")
+    n_nodes = node_graph.size
+    inside = ((edges >= 1) & (edges <= n_nodes)).all(axis=1)
+    ends = node_graph[np.clip(edges, 1, n_nodes) - 1]
+    bad = ~inside | (ends[:, 0] != ends[:, 1])
+    if bad.any():
+        i = bad.argmax()
+        (u, v), (gu, gv) = edges[i], ends[i] + 1
+        why = f"spans graphs {gu} and {gv}" if inside[i] else \
+            f"references a node outside [1, {n_nodes}]"
+        raise DataFormatError(f"edge ({u},{v}) {why}", path=path, line=int(line_nos[i]))
+    edges = edges[edges[:, 0] != edges[:, 1]] - 1  # self-loops are dropped at load time
+    graph = node_graph[edges[:, 0]]
+    return np.split(node_local[edges[np.argsort(graph, kind="stable")]],
+                    np.cumsum(np.bincount(graph, minlength=n_graphs))[:-1])
+
+
 def load_tu(dir_path, dataset_name: str) -> Dataset:
     """Load a benchmark dataset from its standard text layout, the files
     of `tu_files`.
@@ -148,105 +196,52 @@ def load_tu(dir_path, dataset_name: str) -> Dataset:
     width = number of distinct values) and all-ones width-1 features
     otherwise. Edges are symmetrised, self-loops dropped, raw graph
     labels mapped to 0..C-1 by sorted distinct value, and every graph is
-    stored at its own node count."""
+    stored at its own node count, its nodes in order of appearance."""
     (a_path, ind_path, labels_path), nl_path = tu_files(dir_path, dataset_name)
     for path in (a_path, ind_path, labels_path):
         if not os.path.exists(path):
             raise DataFormatError("missing required file", path=path)
 
-    raw_labels = [
-        _parse_int(t, labels_path, i + 1)
-        for i, t in enumerate(_read_lines(labels_path))
-        if t.strip()
-    ]
-    n_graphs = len(raw_labels)
-    if n_graphs == 0:
+    raw_labels = _int_rows(labels_path, 1, "an integer")[0][:, 0]
+    if not raw_labels.size:
         raise DataFormatError("no graphs listed", path=labels_path)
-    label_values = sorted(set(raw_labels))
-    label_map = {v: i for i, v in enumerate(label_values)}
+    label_values, labels = np.unique(raw_labels, return_inverse=True)
+    n_graphs = raw_labels.size
 
-    node_graph: list[int] = []  # 0-based graph id per global node
-    node_local: list[int] = []  # local index within its graph
-    counts = [0] * n_graphs
-    for i, t in enumerate(_read_lines(ind_path)):
-        if not t.strip():
-            continue
-        gid = _parse_int(t, ind_path, i + 1)
-        if not 1 <= gid <= n_graphs:
-            raise DataFormatError(
-                f"node assigned to absent graph id {gid} (have {n_graphs} graphs)",
-                path=ind_path, line=i + 1,
-            )
-        node_graph.append(gid - 1)
-        node_local.append(counts[gid - 1])
-        counts[gid - 1] += 1
-    n_nodes = len(node_graph)
-    if min(counts) == 0:
-        empty = counts.index(0) + 1
-        raise DataFormatError(f"graph {empty} has no nodes", path=ind_path)
+    ids, line_nos = _int_rows(ind_path, 1, "an integer")
+    absent = (ids[:, 0] < 1) | (ids[:, 0] > n_graphs)
+    if absent.any():
+        i = absent.argmax()
+        raise DataFormatError(f"node assigned to absent graph id {ids[i, 0]} "
+                              f"(have {n_graphs} graphs)", path=ind_path, line=int(line_nos[i]))
+    node_graph = ids[:, 0] - 1
+    n_nodes = node_graph.size
+    counts = np.bincount(node_graph, minlength=n_graphs)
+    if not counts.all():
+        raise DataFormatError(f"graph {counts.argmin() + 1} has no nodes", path=ind_path)
+    # the nodes grouped by graph, each group in order of appearance; a
+    # node's local index is its place in its group
+    by_graph = np.argsort(node_graph, kind="stable")
+    splits = np.cumsum(counts)[:-1]
+    node_local = np.empty_like(by_graph)
+    node_local[by_graph] = np.arange(n_nodes) - np.repeat(np.r_[0, splits], counts)
 
-    edges: list[set[tuple[int, int]]] = [set() for _ in range(n_graphs)]
-    for i, t in enumerate(_read_lines(a_path)):
-        if not t.strip():
-            continue
-        parts = t.split(",")
-        if len(parts) != 2:
-            raise DataFormatError(
-                f"expected 'u, v', got {t.strip()!r}", path=a_path, line=i + 1
-            )
-        u = _parse_int(parts[0], a_path, i + 1)
-        v = _parse_int(parts[1], a_path, i + 1)
-        if not (1 <= u <= n_nodes and 1 <= v <= n_nodes):
-            raise DataFormatError(
-                f"edge ({u},{v}) references a node outside [1, {n_nodes}]",
-                path=a_path, line=i + 1,
-            )
-        gu, gv = node_graph[u - 1], node_graph[v - 1]
-        if gu != gv:
-            raise DataFormatError(
-                f"edge ({u},{v}) spans graphs {gu + 1} and {gv + 1}",
-                path=a_path, line=i + 1,
-            )
-        if u == v:
-            continue  # self-loops are dropped at load time
-        lu, lv = node_local[u - 1], node_local[v - 1]
-        edges[gu].add((min(lu, lv), max(lu, lv)))
+    local_edges = _tu_edges(a_path, node_graph, node_local, n_graphs)
 
-    node_label_idx = None
-    d = 1
+    features = [None] * n_graphs  # graph_from_edges' default: all ones
     if os.path.exists(nl_path):
-        raw_nl = [
-            _parse_int(t, nl_path, i + 1)
-            for i, t in enumerate(_read_lines(nl_path))
-            if t.strip()
-        ]
-        if len(raw_nl) != n_nodes:
-            raise DataFormatError(
-                f"{len(raw_nl)} node labels for {n_nodes} nodes", path=nl_path
-            )
-        nl_values = sorted(set(raw_nl))
-        nl_map = {v: i for i, v in enumerate(nl_values)}
-        node_label_idx = [nl_map[v] for v in raw_nl]
-        d = len(nl_values)
+        node_labels = _int_rows(nl_path, 1, "an integer")[0][:, 0]
+        if node_labels.size != n_nodes:
+            raise DataFormatError(f"{node_labels.size} node labels for {n_nodes} nodes",
+                                  path=nl_path)
+        nl_values, nl_index = np.unique(node_labels, return_inverse=True)
+        one_hot = np.zeros((n_nodes, nl_values.size))
+        one_hot[np.arange(n_nodes), nl_index[by_graph]] = 1.0
+        features = [Mat(x) for x in np.split(one_hot, splits)]
 
-    if node_label_idx is None:
-        feats = [np.ones((n, 1)) for n in counts]
-    else:
-        feats = [np.zeros((n, d)) for n in counts]
-        for node in range(n_nodes):
-            feats[node_graph[node]][node_local[node], node_label_idx[node]] = 1.0
-
-    graphs = tuple(
-        graph_from_edges(counts[gi], list(edges[gi]), label_map[raw_labels[gi]],
-                         Mat(feats[gi]))
-        for gi in range(n_graphs)
-    )
-    return Dataset(
-        name=dataset_name,
-        graphs=graphs,
-        class_count=len(label_values),
-        label_map=label_map,
-    )
+    graphs = tuple(map(graph_from_edges, counts.tolist(), local_edges, labels.tolist(), features))
+    return Dataset(dataset_name, graphs, class_count=label_values.size,
+                   label_map=dict(zip(label_values.tolist(), range(label_values.size))))
 
 
 DATASET_FORMAT = "pinet-dataset-v1"
@@ -279,8 +274,14 @@ def write_document(path, fmt: str, body: dict):
 
 def read_document(path, fmt: str, what: str):
     """Parse the JSON object at `path` whose "format" is `fmt`, or raise
-    DataFormatError with the path. Returns the document and `bad(entry,
-    why)`, which builds the DataFormatError naming the entry and path."""
+    DataFormatError with the path. Returns `checked` and `bad`.
+
+    `checked(entry, build, per_item=False)` reads the entry at the dotted
+    name `entry` ("weights.w_x0" is doc["weights"]["w_x0"]) and returns
+    `build` of it or, given `per_item`, the tuple of `build` of each item
+    of the list it must be. A missing entry, or a `build` that raises
+    KeyError, TypeError or ValueError, raises DataFormatError naming the
+    entry and the path; `bad(entry, why)` builds such an error."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -293,7 +294,22 @@ def read_document(path, fmt: str, what: str):
     def bad(entry: str, why: str) -> DataFormatError:
         return DataFormatError(f"{what} entry {entry!r} {why}", path=str(path))
 
-    return doc, bad
+    def checked(entry: str, build, per_item: bool = False):
+        value = doc
+        for key in entry.split("."):
+            if not isinstance(value, dict) or key not in value:
+                raise bad(entry, "is missing")
+            value = value[key]
+        try:
+            if not per_item:
+                return build(value)
+            if not isinstance(value, list):
+                raise DomainError("must be a list")
+            return tuple(map(build, value))
+        except (KeyError, TypeError, ValueError) as e:  # DomainError is a ValueError
+            raise bad(entry, f"is invalid ({e})") from None
+
+    return checked, bad
 
 
 # header field -> (what it must hold, test of its value)
@@ -336,11 +352,12 @@ def save_dataset(ds: Dataset, path):
 
 
 def load_dataset(path) -> Dataset:
-    """Read a file written by `save_dataset`. Anything malformed, from
-    the header to a single edge, raises DataFormatError naming the path
-    and, where one is to blame, the line."""
-    lines = _read_lines(path)
-    if not lines or not lines[0].strip():
+    """Read a file written by `save_dataset`, one line at a time. Anything
+    malformed, from the header to a single edge, raises DataFormatError
+    naming the path and, where one is to blame, the line."""
+    lines = _lines(path)
+    _, text = next(lines, (1, ""))
+    if not text.strip():
         raise DataFormatError("empty dataset file", path=str(path))
 
     def parse(text, line_no):
@@ -349,7 +366,7 @@ def load_dataset(path) -> Dataset:
         except (ValueError, RecursionError):
             raise DataFormatError("malformed record", path=str(path), line=line_no) from None
 
-    header = parse(lines[0], 1)
+    header = parse(text, 1)
     if not isinstance(header, dict):
         raise DataFormatError("header is not a JSON object", path=str(path), line=1)
     if header.get("format") != DATASET_FORMAT:
@@ -363,14 +380,12 @@ def load_dataset(path) -> Dataset:
             raise DataFormatError(
                 f"header field {name!r} must be {kind}", path=str(path), line=1
             )
-    n_pad, d = header["n_pad"], header["d"]
-    # Every record's counts are checked before any graph's arrays are
-    # allocated, so no count in the file can ask for more memory than its
-    # data implies: n_real must match the feature rows, and n_pad the
-    # largest n_real. Each graph is built at its own size, and
+    # Each graph is built as soon as its record passes the checks, at its
+    # own size: n_real must match the feature rows, so no count in the
+    # file sizes an allocation that its data does not back.
     # `graph_from_edges` checks the edges as it builds.
-    records = []
-    for i, text in enumerate(lines[1:], start=2):
+    graphs = []
+    for i, text in lines:
         if not text.strip():
             continue
         rec = parse(text, i)
@@ -380,26 +395,18 @@ def load_dataset(path) -> Dataset:
                 raise DomainError("n_real and label must be integers >= 0")
             if len(rows) != n_real:
                 raise DomainError(f"features must be {n_real} rows")
-            x = Mat(rows).data.reshape(n_real, d)
-            # held compactly until the graphs are built
-            edges = _int_array(rec["edges"], "edges must be a list of [u, v] integer pairs")
+            x = Mat(Mat(rows).data.reshape(n_real, header["d"]))
+            graphs.append(graph_from_edges(n_real, rec["edges"], label, x))
         except (KeyError, TypeError, ValueError) as e:  # DomainError is a ValueError
             raise DataFormatError(
                 f"malformed graph record ({e})", path=str(path), line=i
             ) from None
-        records.append((i, n_real, label, edges, x))
-    largest = max((r[1] for r in records), default=n_pad)
-    if largest != n_pad:
+    largest = max((g.n for g in graphs), default=header["n_pad"])
+    if largest != header["n_pad"]:
         raise DataFormatError(
             f"header field 'n_pad' must equal the largest n_real, {largest}",
             path=str(path), line=1,
         )
-    graphs = []
-    for i, n_real, label, edges, x in records:
-        try:
-            graphs.append(graph_from_edges(n_real, edges, label, Mat(x)))
-        except DomainError as e:
-            raise DataFormatError(str(e), path=str(path), line=i) from None
     try:
         return Dataset(
             name=header["name"],

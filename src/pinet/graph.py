@@ -182,15 +182,18 @@ class Permutation:
         return Mat(p)
 
 
-def random_permutation(n: int, seed) -> Permutation:
-    """Uniform random permutation via the Fisher-Yates shuffle.
+def _as_rng(seed) -> np.random.Generator:
+    """The seed rule: an integer seeds a fresh Generator, and a Generator
+    is used as it is, so callers drawing many times can pass one stream."""
+    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
-    `seed` is an integer or a numpy Generator (so callers drawing many
-    permutations can pass one stream).
-    """
+
+def random_permutation(n: int, seed) -> Permutation:
+    """Uniform random permutation via the Fisher-Yates shuffle; `seed`
+    follows `_as_rng`."""
     if not _is_int(n, 1):
         raise DomainError(f"permutation size must be an integer >= 1, got {n!r}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _as_rng(seed)
     idx = np.arange(n)
     for i in range(n - 1, 0, -1):
         j = int(rng.integers(0, i + 1))

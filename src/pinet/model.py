@@ -382,28 +382,17 @@ def load_params(path) -> PiNetParams:
     `weight_shapes` each weight's shape, `Mat` each weight's data and
     `tensor._pq_scalar` each p and q; a malformed entry raises
     DataFormatError naming the path and the entry."""
-    doc, bad = read_document(path, CHECKPOINT_FORMAT, "checkpoint")
-    try:
-        config = PiNetConfig(**doc["config"])
-    except KeyError:
-        raise bad("config", "is missing") from None
-    except (TypeError, DomainError) as e:
-        raise bad("config", f"is invalid ({e})") from None
-    values: dict[str, Mat] = {}
-    for k, shape in config.weight_shapes().items():
-        try:
-            w = doc["weights"][k]
-            if (w["rows"], w["cols"]) != shape:
-                raise DomainError(f"must be {shape[0]}x{shape[1]} for the config, "
-                                  f"got {w['rows']}x{w['cols']}")
-            values[k] = Mat(Mat(w["data"]).data.reshape(shape))
-        except (KeyError, TypeError, ValueError) as e:  # DomainError is a ValueError
-            raise bad(f"weights.{k}", f"is malformed ({e})") from None
+    checked, _ = read_document(path, CHECKPOINT_FORMAT, "checkpoint")
+    config = checked("config", lambda raw: PiNetConfig(**raw))
+
+    def weight(w, shape):
+        if (w["rows"], w["cols"]) != shape:
+            raise DomainError(f"must be {shape[0]}x{shape[1]} for the config, "
+                              f"got {w['rows']}x{w['cols']}")
+        return Mat(Mat(w["data"]).data.reshape(shape))
+
+    values = {k: checked(f"weights.{k}", lambda w, shape=shape: weight(w, shape))
+              for k, shape in config.weight_shapes().items()}
     for k in PQ_NAMES:
-        try:
-            values[k] = _pq_scalar(doc["pq"][k], k)
-        except (KeyError, TypeError):
-            raise bad(f"pq.{k}", "is missing") from None
-        except ValueError as e:
-            raise bad(f"pq.{k}", f"is invalid ({e})") from None
+        values[k] = checked(f"pq.{k}", lambda v, k=k: _pq_scalar(v, k))
     return PiNetParams(values, config)

@@ -8,6 +8,7 @@ the echoed configuration line.
 import csv
 import json
 import os
+import stat
 from dataclasses import fields, replace
 
 import numpy as np
@@ -513,6 +514,32 @@ def test_output_naming_a_layout_file_leaves_it_unchanged(capsys, tmp_path, monke
     assert stdout == ""
     assert {p.name: p.read_text() for p in (tmp_path / "T").iterdir()} == {
         f"T_{name}.txt": text for name, text in _LAYOUT.items()}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gen-iso", "--nodes", "8", "--classes", "2", "--copies", "2", "--out"], "--out"),
+    (["train", "--params-out"], "--params-out"),
+    (["cv", "--k", "2", "--out"], "--out"),
+    (["iso-exp", "--sizes", "1", "--trials", "1", "--out"], "--out"),
+    (["sweep", "--k", "2", "--out"], "--out"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+@pytest.mark.parametrize("kind", ["directory", "fifo"])
+def test_output_that_is_not_a_regular_file_exits_one_before_reading(
+        capsys, tmp_path, monkeypatch, tiny_iso, argv, flag, kind):
+    # the node is only ever stat-ed, never opened: a FIFO opened for
+    # writing would block
+    monkeypatch.setattr(train, "fit", lambda *a, **k: pytest.fail("fit was called"))
+    monkeypatch.setattr(datagen, "generate_iso_dataset",
+                        lambda *a, **k: pytest.fail("generate_iso_dataset was called"))
+    target = tmp_path / kind
+    (os.mkdir if kind == "directory" else os.mkfifo)(target)
+    reads = [] if argv[0] == "gen-iso" else ["--data", str(tiny_iso), "--epochs", "1"]
+    code, stdout, err = _run(capsys, [*argv, str(target), *reads])
+    assert code == 1
+    assert err == f"error: {flag} {target} exists and is not a regular file\n"
+    assert stdout == ""
+    is_kind = stat.S_ISDIR if kind == "directory" else stat.S_ISFIFO
+    assert is_kind(os.stat(target).st_mode)
 
 
 def test_cv_output_in_missing_directory_exits_one_before_any_fold(capsys, tmp_path, monkeypatch):

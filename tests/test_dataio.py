@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from pinet.dataio import Dataset, atomic_write, load_dataset, load_tu, save_dataset, tu_files
 from pinet.datagen import GenParams, generate_iso_dataset, load_provenance, save_provenance
 from pinet.errors import DataFormatError, DomainError, ShapeError
-from pinet.graph import LabeledGraph, Permutation, graph_from_edges, pad_graph, permute_graph
+from pinet.graph import (LabeledGraph, Permutation, edges_of, graph_from_edges, pad_graph,
+                         permute_graph)
 from pinet.model import PiNetConfig, init_params, load_params, save_params
 from pinet.tensor import Mat
 from pinet.train import TrainConfig
@@ -162,6 +163,91 @@ def test_tu_memory_follows_each_graphs_own_size(tmp_path):
         tracemalloc.stop()
     assert len(ds) == 501 and ds.n_pad == 200
     assert peak < 16 * 2**20, f"load_tu peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_tu_memory_of_the_gen_iso_layout(tmp_path):
+    # the gen-iso default set (500 graphs of 50 nodes, 175,000 edge
+    # lines) peaked at 20.8 MiB with one Python list or set per node and
+    # per graph; the int64 tables must stay within 10% of that
+    import tracemalloc
+
+    ds, _ = generate_iso_dataset(GenParams(seed=1))
+    a, ind, first = [], [], 1
+    for gid, g in enumerate(ds.graphs, start=1):
+        a += [f"{u + first}, {v + first}\n{v + first}, {u + first}" for u, v in edges_of(g)]
+        ind += [str(gid)] * g.n
+        first += g.n
+    _write_tu(tmp_path, "ISO", a, ind, [str(g.label) for g in ds.graphs])
+    tracemalloc.start()
+    try:
+        loaded = load_tu(tmp_path, "ISO")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.array_equal(g.adjacency.data, h.adjacency.data)
+               for g, h in zip(ds.graphs, loaded.graphs))
+    assert peak < 1.1 * 20.8 * 2**20, f"load_tu peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_tu_interleaved_indicator_keeps_order_of_appearance(tmp_path):
+    # nodes 1, 3 make graph 1 and nodes 2, 4, 5 graph 2; each graph's
+    # local ids follow the order its nodes appear in
+    _write_tu(tmp_path, "MIX", ["1, 3", "2, 5", "5, 4"], ["1", "2", "1", "2", "2"], ["0", "1"],
+              node_labels=["10", "20", "30", "40", "50"])
+    first, second = load_tu(tmp_path, "MIX").graphs
+    np.testing.assert_array_equal(first.adjacency.data, [[0, 1], [1, 0]])
+    np.testing.assert_array_equal(second.adjacency.data, [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+    np.testing.assert_array_equal(first.features.data, np.eye(5)[[0, 2]])
+    np.testing.assert_array_equal(second.features.data, np.eye(5)[[1, 3, 4]])
+
+
+_GOOD_TU = {"A": ["1, 2", "2, 1"], "graph_indicator": ["1", "1"], "graph_labels": ["1"],
+            "node_labels": ["0", "1"]}
+
+
+@pytest.mark.parametrize("suffix, bad", [
+    ("A", "1; 2"), ("A", "1, 9"), ("graph_indicator", "x"), ("graph_indicator", "7"),
+    ("graph_labels", "1.5"), ("node_labels", "a"),
+])
+def test_tu_error_after_blank_lines_names_its_line(tmp_path, suffix, bad):
+    files = {**_GOOD_TU, suffix: [*_GOOD_TU[suffix][:1], "", " ", bad, *_GOOD_TU[suffix][1:]]}
+    if suffix == "graph_indicator":  # the bad line still takes a node's place
+        files["graph_indicator"].pop()
+    _write_tu(tmp_path, "BL", files["A"], files["graph_indicator"], files["graph_labels"],
+              files["node_labels"])
+    with pytest.raises(DataFormatError) as err:
+        load_tu(tmp_path, "BL")
+    assert err.value.path == str(tmp_path / "BL" / f"BL_{suffix}.txt")
+    assert err.value.line == 4
+
+
+def test_tu_node_label_count_mismatch_names_the_node_label_file(tmp_path):
+    _write_tu(tmp_path, "NLC", ["1, 2"], ["1", "1"], ["1"], node_labels=["0", "1", "0"])
+    with pytest.raises(DataFormatError) as err:
+        load_tu(tmp_path, "NLC")
+    assert err.value.path == str(tmp_path / "NLC" / "NLC_node_labels.txt")
+    assert "3 node labels for 2 nodes" in str(err.value)
+
+
+def test_tu_cross_graph_edge_names_its_line(tmp_path):
+    _write_tu(tmp_path, "XGL", ["1, 2", "", "2, 3"], ["1", "1", "2"], ["1", "1"])
+    with pytest.raises(DataFormatError) as err:
+        load_tu(tmp_path, "XGL")
+    assert err.value.path == str(tmp_path / "XGL" / "XGL_A.txt") and err.value.line == 3
+    assert "spans graphs 1 and 2" in str(err.value)
+
+
+@pytest.mark.parametrize("suffix", list(_GOOD_TU))
+@pytest.mark.parametrize("big", ["99999999999999999999999", "-9223372036854775809"])
+def test_tu_integer_outside_int64_names_file_and_line(tmp_path, suffix, big):
+    files = {k: list(v) for k, v in _GOOD_TU.items()}
+    files[suffix][-1] = f"1, {big}" if suffix == "A" else big
+    _write_tu(tmp_path, "BIG", files["A"], files["graph_indicator"], files["graph_labels"],
+              files["node_labels"])
+    with pytest.raises(DataFormatError) as err:
+        load_tu(tmp_path, "BIG")
+    assert err.value.path == str(tmp_path / "BIG" / f"BIG_{suffix}.txt")
+    assert err.value.line == len(files[suffix])
 
 
 def test_tu_node_labels_become_one_hot(tmp_path):
