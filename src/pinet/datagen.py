@@ -17,8 +17,8 @@ import numpy as np
 
 from .dataio import Dataset, _real, _real_field, read_document, write_document
 from .errors import DomainError, GenerationError
-from .graph import (LabeledGraph, Permutation, _as_rng, _check_int_fields, _int_array, _is_int,
-                    edges_of, graph_from_edges, permute_graph, random_permutation)
+from .graph import (MAX_NODES, LabeledGraph, Permutation, _as_rng, _check_int_fields, _int_array,
+                    _is_int, edges_of, graph_from_edges, permute_graph, random_permutation)
 
 ER_RETRY_CAP = 10_000
 BASE_RETRY_CAP = 100
@@ -34,6 +34,8 @@ class GenParams:
 
     def __post_init__(self):
         _check_int_fields(self, n_nodes=2, classes=2, copies=1, seed=0)
+        if self.n_nodes > MAX_NODES:  # refused before any n x n draw
+            raise DomainError(f"n_nodes must be at most {MAX_NODES}, got {self.n_nodes}")
         if not 0.0 < _real_field(self, "edge_prob") < 1.0:
             raise DomainError(f"edge_prob must lie in (0, 1), got {self.edge_prob}")
 
@@ -60,8 +62,8 @@ def _is_connected(adj: np.ndarray) -> bool:
 def sample_er_connected(n: int, edge_prob: float, seed) -> LabeledGraph:
     """G(n, p) conditioned on connectivity: resample until a breadth-
     first search reaches every node, up to 10,000 attempts."""
-    if not _is_int(n, 1):
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    if not _is_int(n, 1, MAX_NODES + 1):
+        raise DomainError(f"n must be an integer in [1, {MAX_NODES}], got {n!r}")
     edge_prob = _real(edge_prob, "edge_prob")
     if not 0.0 < edge_prob < 1.0:
         raise DomainError(f"edge_prob must lie in (0, 1), got {edge_prob}")

@@ -239,7 +239,11 @@ def load_tu(dir_path, dataset_name: str) -> Dataset:
         one_hot[np.arange(n_nodes), nl_index[by_graph]] = 1.0
         features = [Mat(x) for x in np.split(one_hot, splits)]
 
-    graphs = tuple(map(graph_from_edges, counts.tolist(), local_edges, labels.tolist(), features))
+    try:
+        graphs = tuple(map(graph_from_edges, counts.tolist(), local_edges, labels.tolist(),
+                           features))
+    except DomainError as e:  # the edges are checked above: a graph over graph.MAX_NODES
+        raise DataFormatError(str(e), path=ind_path) from None
     return Dataset(dataset_name, graphs, class_count=label_values.size,
                    label_map=dict(zip(label_values.tolist(), range(label_values.size))))
 

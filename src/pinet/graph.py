@@ -102,6 +102,13 @@ def _check_int_fields(obj, **lows: int):
         object.__setattr__(obj, name, int(v))
 
 
+# The most nodes a graph may have. Every graph is stored as a dense
+# N x N adjacency, 128 MiB at the cap, so a larger count is refused
+# before anything is allocated: a few bytes of input must not ask for
+# gigabytes. The largest common molecule benchmark, PROTEINS, has 620.
+MAX_NODES = 4096
+
+
 def graph_from_edges(
     n: int,
     edges,
@@ -114,11 +121,14 @@ def graph_from_edges(
     `edges` is a k x 2 integer array or a sequence of integer pairs;
     anything else (floats, strings, bools, rows that are not pairs), a
     node outside [0, n_real) or a self-loop raises DomainError. This is
-    the one check of an edge list, for every loader. Features default to an all-ones column on the real
-    nodes (zero on padding).
+    the one check of an edge list, for every loader. More than MAX_NODES
+    nodes raise DomainError before anything is allocated. Features
+    default to an all-ones column on the real nodes (zero on padding).
     """
     if not _is_int(n, 0):
         raise DomainError(f"n must be an integer >= 0, got {n!r}")
+    if n > MAX_NODES:
+        raise DomainError(f"{n} nodes exceed the cap of {MAX_NODES} per graph")
     n_real = n if n_real is None else n_real
     if not _is_int(n_real, 0, n + 1):
         raise DomainError(f"n_real={n_real!r} must be an integer in [0, {n}]")

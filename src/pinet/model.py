@@ -29,6 +29,14 @@ compose the two fused ops, whose VJPs `tensor` provides, with plain
 numpy products, relu, softmax and clamped cross-entropy, and each
 returns a vjp closure that runs its pieces' VJPs in reverse order;
 `grads_batch` is the forward pass followed by that vjp.
+
+Every array the size of a stack, forward and backward, is written into
+a `tensor.Workspace`. `train.fit` and `train.evaluate` each hold one for
+the whole call, so only a fit's first step and an evaluate's first
+chunk fault those pages in. `grads_batch`, `loss_batch`, `forward`,
+`forward_features`, `forward_attention` and `predict_classes` each take
+a fresh one. What any of them hands back (gradients, probabilities, the
+loss, tower outputs) is freshly allocated, never a workspace buffer.
 """
 
 from __future__ import annotations
@@ -40,7 +48,8 @@ import numpy as np
 from .dataio import _real_field, read_document, write_document
 from .errors import DomainError, ShapeError
 from .graph import Batch, LabeledGraph, Stack, _check_int_fields, make_batch
-from .tensor import Mat, _finite, _leaves_of, _pq_scalar, attention_pool, attention_softmax, propagate
+from .tensor import (Mat, Workspace, _finite, _leaves_of, _pq_scalar, attention_pool,
+                     attention_softmax, propagate)
 
 WEIGHT_NAMES = ("w_x0", "w_x1", "w_a0", "w_a1", "w_d")
 PQ_NAMES = ("p_x0", "q_x0", "p_x1", "q_x1", "p_a0", "q_a0", "p_a1", "q_a1")
@@ -138,23 +147,24 @@ def init_params(config: PiNetConfig) -> PiNetParams:
     return PiNetParams(values, config)
 
 
-def _dense_layer(u: np.ndarray, w0: np.ndarray, w1: np.ndarray):
-    """relu(u @ w0) @ w1 over the (B*N) x d stack u, and its vjp
+def _dense_layer(u: np.ndarray, w0: np.ndarray, w1: np.ndarray, ws: Workspace, key):
+    """relu(u @ w0) @ w1 over the (B*N) x d stack u, written to `ws`
+    under `key` (the relu stack under (key, "h")), and its vjp
     `(g, want_u) -> (gw0, gw1, gu)`, with gu None unless `want_u`."""
-    h = _finite(u @ w0)
+    h = _finite(np.matmul(u, w0, out=ws.take((key, "h"), (u.shape[0], w0.shape[1]))))
     np.maximum(h, 0.0, out=h)  # relu in place; h > 0 is its backward mask
-    a1 = _finite(h @ w1)
+    a1 = _finite(np.matmul(h, w1, out=ws.take(key, (h.shape[0], w1.shape[1]))))
 
     def back(g, want_u):
         gw1 = h.T @ g
-        g = g @ w1.T
-        g *= h > 0
+        g = np.matmul(g, w1.T, out=ws.take("scratch", h.shape))
+        g *= np.greater(h, 0.0, out=ws.take("mask", h.shape, bool))
         return u.T @ g, gw1, g @ w0.T if want_u else None
 
     return a1, back
 
 
-def _rank2_layer(u: np.ndarray, w0: np.ndarray, w1: np.ndarray):
+def _rank2_layer(u: np.ndarray, w0: np.ndarray, w1: np.ndarray, ws: Workspace, key):
     """`_dense_layer` for a single column u, through relu(u * w) =
     u+ relu(w) + (-u)+ relu(-w): with U = [u+, (-u)+] ((B*N) x 2) and
     W = [relu(w0); relu(-w0)] (2 x F0), relu(u @ w0) = U @ W, so the
@@ -163,7 +173,7 @@ def _rank2_layer(u: np.ndarray, w0: np.ndarray, w1: np.ndarray):
     big_u = np.maximum(np.hstack((u, -u)), 0.0)
     big_w = np.maximum(np.vstack((w0, -w0)), 0.0)
     r = big_w @ w1
-    a1 = _finite(big_u @ r)
+    a1 = _finite(np.matmul(big_u, r, out=ws.take(key, (u.shape[0], r.shape[1]))))
 
     def back(g, want_u):
         ug = big_u.T @ g
@@ -178,7 +188,7 @@ def _rank2_layer(u: np.ndarray, w0: np.ndarray, w1: np.ndarray):
     return a1, back
 
 
-def _tower(stack: Stack, values: dict[str, Mat], kind: str, grads):
+def _tower(stack: Stack, values: dict[str, Mat], kind: str, grads, ws: Workspace, tag: tuple):
     """Two message-passing layers over a stack: relu(At1 @ relu(At0 @ X @
     W0) @ W1), without the outer relu for the attention tower (its
     nonlinearity is the attention softmax). The first layer propagates X
@@ -188,19 +198,22 @@ def _tower(stack: Stack, values: dict[str, Mat], kind: str, grads):
     products without the (B*N) x F0 stack relu(At0 @ X @ W0), forward
     and backward; wider inputs take `_dense_layer`.
 
-    Returns the (B*N) x F1 stack and, when `grads` names any parameter,
-    its vjp: the stack's gradient to the tower's weight gradients and to
-    those of its p and q that `grads` names. Else None, so that nothing
-    of the forward pass outlives the call."""
+    Each layer's stacks are written to `ws` under keys that start with
+    `tag`. Returns the (B*N) x F1 stack and, when `grads` names any
+    parameter, its vjp: the stack's gradient to the tower's weight
+    gradients and to those of its p and q that `grads` names. Else
+    None."""
     x, w0, w1 = stack.x, values[f"w_{kind}0"].data, values[f"w_{kind}1"].data
     if x.shape[1] != w0.shape[0]:
         raise ShapeError(f"graphs have d={x.shape[1]}, model d={w0.shape[0]}")
-    u, vjp0 = propagate(stack, x, values[f"p_{kind}0"], values[f"q_{kind}0"])
-    a1, back0 = (_rank2_layer if u.shape[1] == 1 else _dense_layer)(u, w0, w1)
-    if not grads:  # no vjp will read layer 0: free it before layer 1
-        u = vjp0 = back0 = None
-    out, vjp1 = propagate(stack, a1, values[f"p_{kind}1"], values[f"q_{kind}1"])
-    top = np.maximum(out, 0.0) if kind == "x" else out
+    u, vjp0 = propagate(stack, x, values[f"p_{kind}0"], values[f"q_{kind}0"], ws, (*tag, "u"))
+    first = _rank2_layer if u.shape[1] == 1 else _dense_layer
+    a1, back0 = first(u, w0, w1, ws, (*tag, "a1"))
+    out, vjp1 = propagate(stack, a1, values[f"p_{kind}1"], values[f"q_{kind}1"], ws, (*tag, "out"))
+    if kind == "x":
+        top = np.maximum(out, 0.0, out=ws.take((*tag, "top"), out.shape))
+    else:
+        top = out
     if not grads:
         return top, None
     p0, q0, p1, q1 = (f"{v}_{kind}{layer}" for layer in (0, 1) for v in "pq")
@@ -208,7 +221,8 @@ def _tower(stack: Stack, values: dict[str, Mat], kind: str, grads):
 
     def vjp(g):
         if kind == "x":
-            g *= top > 0  # in place: g is the pool's fresh gradient
+            # in place: g is the pool's "gz", which nothing else reads
+            g *= np.greater(top, 0.0, out=ws.take("mask", top.shape, bool))
         g, gp1, gq1 = vjp1(g, want1)
         gw0, gw1, gu = back0(g, want0)
         got = {f"w_{kind}0": gw0, f"w_{kind}1": gw1}
@@ -222,14 +236,19 @@ def _tower(stack: Stack, values: dict[str, Mat], kind: str, grads):
     return top, vjp
 
 
-def _pool(stack: Stack, values: dict[str, Mat], axis: str, grads):
+def _pool(stack: Stack, values: dict[str, Mat], axis: str, grads, ws: Workspace, slot: int):
     """Both towers over a stack and its attention pooling: the stack's
     B x F1^2 pooled rows and, when `grads` names any parameter, their
-    vjp to the towers' gradients. Else None, so that nothing of the
-    towers outlives the call."""
-    z, vjp_x = _tower(stack, values, "x", grads)
-    pre, vjp_a = _tower(stack, values, "a", grads)
-    pooled, vjp_pool = attention_pool(stack, pre, z, axis)
+    vjp to the towers' gradients. Else None.
+
+    With a vjp, each array it reads has its own key in `ws`, under the
+    stack's `slot` in the batch. Without one, the attention tower writes
+    into the features tower's buffers, dead but for its output, and
+    every stack into the same ones."""
+    tag_x, tag_a, key = ((slot, "x"), (slot, "a"), (slot, "pool")) if grads else ((), (), "pool")
+    z, vjp_x = _tower(stack, values, "x", grads, ws, tag_x)
+    pre, vjp_a = _tower(stack, values, "a", grads, ws, tag_a)
+    pooled, vjp_pool = attention_pool(stack, pre, z, axis, ws, key)
     if not grads:
         return pooled, None
 
@@ -242,22 +261,23 @@ def _pool(stack: Stack, values: dict[str, Mat], axis: str, grads):
     return pooled, vjp
 
 
-def _forward(batch: Batch, params: PiNetParams, grads=()):
+def _forward(batch: Batch, params: PiNetParams, ws: Workspace, grads=()):
     """B x C class probabilities of a batch, one row per graph in input
     order, and their cross-entropy against `batch.labels`, summed.
     Probabilities are clamped at CROSS_ENTROPY_EPS before the logarithm.
     Each stack's pooled rows meet the readout in their own product,
-    whose rows land in their graphs' rows of the logits.
+    whose rows land in their graphs' rows of the logits. Every array the
+    size of a stack is written to `ws`; the probabilities are not.
 
     Also returns, when `grads` names any parameter, the loss's vjp: a
     closure that returns the loss's gradient with respect to each named
-    parameter, summed over the stacks. Else None."""
+    parameter, summed over the stacks, in fresh arrays. Else None."""
     values = params.values
     wd = values["w_d"].data
     logits = np.empty((len(batch), wd.shape[1]))
     parts = []
-    for stack in batch.stacks:
-        pooled, vjp_pool = _pool(stack, values, params.config.attention_axis, grads)
+    for slot, stack in enumerate(batch.stacks):
+        pooled, vjp_pool = _pool(stack, values, params.config.attention_axis, grads, ws, slot)
         logits[stack.rows] = pooled @ wd
         if grads:
             parts.append((stack.rows, pooled, vjp_pool))
@@ -276,7 +296,9 @@ def _forward(batch: Batch, params: PiNetParams, grads=()):
         got = {}
         for rows, pooled, vjp_pool in parts:
             gs = g[rows]
-            for k, v in {"w_d": pooled.T @ gs, **vjp_pool(gs @ wd.T)}.items():
+            # vjp_pool has read it before the first propagate vjp takes "gh"
+            gpool = ws.take("gh", (len(rows), wd.shape[0]))
+            for k, v in {"w_d": pooled.T @ gs, **vjp_pool(np.matmul(gs, wd.T, out=gpool))}.items():
                 got[k] = got[k] + v if k in got else v
         return {k: got[k] for k in grads}
 
@@ -290,7 +312,7 @@ def forward_features(g: LabeledGraph, params: PiNetParams) -> Mat:
     propagation matrix gives them no cross-node entries.
     """
     (stack,) = make_batch([g], params.config.C).stacks
-    return Mat._adopt(_tower(stack, params.values, "x", ())[0])
+    return Mat(_tower(stack, params.values, "x", (), Workspace(), ())[0])
 
 
 def forward_attention(g: LabeledGraph, params: PiNetParams) -> Mat:
@@ -302,14 +324,16 @@ def forward_attention(g: LabeledGraph, params: PiNetParams) -> Mat:
     zeroed. Either way padded-node columns are exactly 0.
     """
     (stack,) = make_batch([g], params.config.C).stacks
-    pre = _tower(stack, params.values, "a", ())[0]
-    att = attention_softmax(pre.reshape(1, g.n, -1), stack.mask, params.config.attention_axis)
+    ws = Workspace()
+    pre = _tower(stack, params.values, "a", (), ws, ())[0]
+    att = attention_softmax(pre.reshape(1, g.n, -1), stack.mask, params.config.attention_axis,
+                            ws, "att")
     return Mat(att[0].T)
 
 
 def forward(g: LabeledGraph, params: PiNetParams) -> Mat:
     """Class probability row (1 x C) for one graph."""
-    return Mat._adopt(_forward(make_batch([g], params.config.C), params)[0])
+    return Mat._adopt(_forward(make_batch([g], params.config.C), params, Workspace())[0])
 
 
 def loss_batch(batch: Batch, params: PiNetParams) -> Mat:
@@ -318,11 +342,15 @@ def loss_batch(batch: Batch, params: PiNetParams) -> Mat:
     (of one tape only, else TapeError), the loss's vjp is kept on that
     tape, for `tensor.backward` to run."""
     tape, names = _leaves_of(params.values)
-    _, loss, vjp = _forward(batch, params, names)
+    _, loss, vjp = _forward(batch, params, Workspace(), names)
     out = Mat._adopt(np.array([[loss]]))
     if tape is not None:
         tape._root = (out.data, vjp)
     return out
+
+
+def _predict_classes(params: PiNetParams, graphs, ws: Workspace) -> np.ndarray:
+    return np.argmax(_forward(make_batch(graphs, params.config.C), params, ws)[0], axis=1)
 
 
 def predict_classes(params: PiNetParams, graphs) -> np.ndarray:
@@ -330,7 +358,7 @@ def predict_classes(params: PiNetParams, graphs) -> np.ndarray:
     over graphs of one feature width d and any sizes, one stack per size
     class; ties break toward the lowest index. A label at or above the
     model's class count raises DomainError."""
-    return np.argmax(_forward(make_batch(graphs, params.config.C), params)[0], axis=1)
+    return _predict_classes(params, graphs, Workspace())
 
 
 def predict_class(params: PiNetParams, g: LabeledGraph) -> int:
@@ -349,11 +377,15 @@ def clamp_pq(params: PiNetParams) -> PiNetParams:
     return params.replaced(updates) if updates else params
 
 
+def _grads_batch(batch: Batch, params: PiNetParams, ws: Workspace) -> tuple[float, dict[str, Mat]]:
+    _, loss, vjp = _forward(batch, params, ws, tuple(params.trainables()))
+    return float(loss), {k: Mat._adopt(g) for k, g in vjp().items()}
+
+
 def grads_batch(batch: Batch, params: PiNetParams) -> tuple[float, dict[str, Mat]]:
     """Batch loss value and its gradients for the trainables: one forward
     pass over the batch, then its vjp."""
-    _, loss, vjp = _forward(batch, params, tuple(params.trainables()))
-    return float(loss), {k: Mat._adopt(g) for k, g in vjp().items()}
+    return _grads_batch(batch, params, Workspace())
 
 
 CHECKPOINT_FORMAT = "pinet-checkpoint-v1"

@@ -24,7 +24,7 @@ from .graph import (
     random_permutation,
 )
 from .model import PQ_NAMES, PiNetConfig, forward, grads_batch, init_params, loss_batch
-from .tensor import Mat, grad_check, propagate
+from .tensor import Mat, Workspace, grad_check, propagate
 
 
 @dataclass
@@ -200,7 +200,7 @@ def check_fused_layer(cases: int = 60, seed: int = 0, tol: float = 1e-12) -> Sui
             pv = 0.0  # p = 0 leaves isolated nodes with no scale at all
         pv, qv = float(pv), float(qv)
 
-        out, vjp = propagate(stack, stack.x, pv, qv)
+        out, vjp = propagate(stack, stack.x, pv, qv, Workspace(), "out")
         got = dict(zip(("out", "h", "p", "q"), (out, *vjp(g, True))))
         parts = [
             _closed_form(gk.adjacency.data, gk.features.data, pv, qv, g[k * n:(k + 1) * n])

@@ -19,6 +19,13 @@ into per-graph pooled rows. At(p, q) itself is built in plain numpy by
 `propagate` to it in value and to its closed-form derivatives in p and
 q.
 
+The ops and their VJPs write every array the size of a stack into a
+`Workspace`, with `out=`: the caller names the result's buffer, and
+temporaries take the shared roles that `Workspace` lists. `train.fit`
+and `train.evaluate` hold one workspace for the whole call, so a step
+after the first writes into pages it already holds instead of
+allocating, and faulting in, fresh ones.
+
 `Tape`, `Tape.leaf` and `backward` are a small adapter over that chain
 for callers that drive a step through `model.loss_batch`: the loss of
 parameters that are leaves of a tape keeps its vjp on the tape, and
@@ -27,6 +34,7 @@ parameters that are leaves of a tape keeps its vjp on the tape, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Mapping
@@ -199,7 +207,48 @@ def _pq_scalar(v, name: str) -> Mat:
     return m
 
 
-def propagate(stack, h: np.ndarray, p, q):
+class Workspace:
+    """Buffers that outlive a step, so that the next step writes its
+    large arrays into pages it already holds.
+
+    `take(key, shape)` hands out an uninitialised array of `shape`, a
+    view of the buffer kept under `key`, which grows to the largest size
+    a step has asked for and never beyond it. Arrays taken under one key
+    share storage, so a key names one role whose arrays are never live
+    at once. Results the model keeps for its vjp are taken under keys
+    the caller names; temporaries take shared roles, each dead before
+    the next array of its role is taken:
+
+    - "scratch": `propagate`'s H*s and its vjp's G*s, and `_dense_layer`'s
+      backward stack;
+    - "mask": a relu's backward mask (bool);
+    - "gz", "ga": `attention_pool`'s vjp results, consumed by the towers;
+    - "gh": first the pooled rows' gradient, which `attention_pool`'s vjp
+      reads before it returns, then `propagate`'s vjp result, consumed
+      by the layer below.
+
+    `train.fit` and `train.evaluate` own one each for the length of the
+    call, and every single-step entry point takes a fresh one, so no
+    workspace is shared between calls or threads, and no array handed
+    back to a caller lives in one.
+    """
+
+    __slots__ = ("_bufs",)
+
+    def __init__(self):
+        self._bufs: dict = {}
+
+    def take(self, key, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        # A step takes a few dozen arrays, some of them tiny, so the
+        # common case is one constructor call on the kept bytes.
+        try:
+            return np.ndarray(shape, dtype, self._bufs[key])
+        except (KeyError, TypeError):  # no buffer yet, or one too small for `shape`
+            buf = self._bufs[key] = np.empty(math.prod(shape) * np.dtype(dtype).itemsize, np.uint8)
+            return np.ndarray(shape, dtype, buf)
+
+
+def propagate(stack, h: np.ndarray, p, q, ws: Workspace, key):
     """At(p, q) @ H for every graph of a `graph.Stack`, without building At.
 
     `h` is the (B*N) x F stack of node states, graph k in rows
@@ -207,10 +256,11 @@ def propagate(stack, h: np.ndarray, p, q):
     s * ((A + qI)(s * H)) with s = (p + (1-p)*deg)^(-1/2) per node from
     `stack.adj` and `stack.deg`, and 0^(-1/2) := 0, the operator that
     `graph.propagation_matrix` builds explicitly. p and q are floats in
-    [0, 1] or 1x1 matrices. Returns the stack and its vjp
-    `(g, want_pq) -> (gh, gp, gq)`, with gp and gq 1x1 arrays, or None
-    unless `want_pq`. The vjp reuses the operator, as A = A^T for every
-    checked graph `make_batch` stacks.
+    [0, 1] or 1x1 matrices. Returns the stack, written to `ws` under
+    `key`, and its vjp `(g, want_pq) -> (gh, gp, gq)`, with gh under
+    "gh" and gp and gq 1x1 arrays, or None unless `want_pq`. The vjp
+    reuses the operator, as A = A^T for every checked graph
+    `make_batch` stacks.
     """
     adj, deg = stack.adj, stack.deg
     b, n, _ = adj.shape
@@ -222,15 +272,15 @@ def propagate(stack, h: np.ndarray, p, q):
     np.power(mixed, -0.5, out=s, where=mixed > 0)
 
     f = h.shape[1]
-    u = h * s
-    out = np.matmul(adj, u.reshape(b, n, f)).reshape(b * n, f)
+    u = np.multiply(h, s, out=ws.take("scratch", h.shape))
+    out = np.matmul(adj, u.reshape(b, n, f), out=ws.take(key, (b, n, f))).reshape(b * n, f)
     u *= qv
     out += u
     out *= s
 
     def vjp(g, want_pq):
-        w = g * s
-        gh = np.matmul(adj, w.reshape(b, n, f)).reshape(b * n, f)
+        w = np.multiply(g, s, out=ws.take("scratch", g.shape))
+        gh = np.matmul(adj, w.reshape(b, n, f), out=ws.take("gh", (b, n, f))).reshape(b * n, f)
         w *= qv
         gh += w
         gh *= s
@@ -248,23 +298,27 @@ def propagate(stack, h: np.ndarray, p, q):
     return _finite(out), vjp
 
 
-def attention_softmax(pre: np.ndarray, mask: np.ndarray, axis: str) -> np.ndarray:
-    """Attention weights for a B x N x F stack of tower outputs.
+def attention_softmax(pre: np.ndarray, mask: np.ndarray, axis: str, ws: Workspace,
+                      key) -> np.ndarray:
+    """Attention weights for a B x N x F stack of tower outputs, written
+    to `ws` under `key`.
 
     axis="nodes": each (graph, feature) column becomes a distribution over
     the graph's real nodes (mask True; `make_batch` marks n_real >= 1 of
     them); axis="features": each node's row becomes a distribution over
     the F positions and padded rows are then zeroed. Padded nodes get
-    exactly 0 either way. Returns a new array.
+    exactly 0 either way.
     """
     m = mask[:, :, None]
+    e = ws.take(key, pre.shape)
     if axis == "nodes":
-        e = np.where(m, pre, -np.inf)
+        e.fill(-np.inf)
+        np.copyto(e, pre, where=m)
         e -= e.max(axis=1, keepdims=True)
         np.exp(e, out=e)
         e /= e.sum(axis=1, keepdims=True)
     elif axis == "features":
-        e = pre - pre.max(axis=2, keepdims=True)
+        np.subtract(pre, pre.max(axis=2, keepdims=True), out=e)
         np.exp(e, out=e)
         e /= e.sum(axis=2, keepdims=True)
         e *= m
@@ -273,15 +327,16 @@ def attention_softmax(pre: np.ndarray, mask: np.ndarray, axis: str) -> np.ndarra
     return e
 
 
-def attention_pool(stack, pre: np.ndarray, z: np.ndarray, axis: str):
+def attention_pool(stack, pre: np.ndarray, z: np.ndarray, axis: str, ws: Workspace, key):
     """Per-graph softmax(pre)^T @ z over the node states of a
     `graph.Stack`, one graph per output row.
 
     `pre` is the (B*N) x F attention-tower stack and `z` the (B*N) x F'
     features-tower stack. The weights are `attention_softmax(pre,
-    stack.mask, axis)`; row k of the B x (F*F') result is graph k's
-    F x F' pooled matrix in row-major order. Returns the result and its
-    vjp `g -> (gpre, gz)`.
+    stack.mask, axis)`, kept in `ws` under (key, "att"); row k of the
+    B x (F*F') result, under `key`, is graph k's F x F' pooled matrix in
+    row-major order. Returns the result and its vjp `g -> (gpre, gz)`,
+    under "ga" and "gz".
     """
     b, n = stack.mask.shape
     if pre.shape[0] != b * n or z.shape[0] != b * n:
@@ -289,15 +344,15 @@ def attention_pool(stack, pre: np.ndarray, z: np.ndarray, axis: str):
             f"attention_pool: {pre.shape[0]} and {z.shape[0]} rows for {b} graphs of {n} nodes"
         )
     f, fz = pre.shape[1], z.shape[1]
-    att = attention_softmax(pre.reshape(b, n, f), stack.mask, axis)
+    att = attention_softmax(pre.reshape(b, n, f), stack.mask, axis, ws, (key, "att"))
     z3 = z.reshape(b, n, fz)
-    pooled = np.matmul(att.transpose(0, 2, 1), z3)
+    pooled = np.matmul(att.transpose(0, 2, 1), z3, out=ws.take(key, (b, f, fz)))
     red, dots = (1, "bnf,bnf->bf") if axis == "nodes" else (2, "bnf,bnf->bn")
 
     def vjp(g):
         g3 = g.reshape(b, f, fz)
-        gz = np.matmul(att, g3).reshape(b * n, fz)
-        ga = np.matmul(z3, g3.transpose(0, 2, 1))
+        gz = np.matmul(att, g3, out=ws.take("gz", (b, n, fz))).reshape(b * n, fz)
+        ga = np.matmul(z3, g3.transpose(0, 2, 1), out=ws.take("ga", (b, n, f)))
         ga -= np.expand_dims(np.einsum(dots, att, ga), red)
         ga *= att
         return ga.reshape(b * n, f), gz

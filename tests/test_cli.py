@@ -16,7 +16,7 @@ import pytest
 
 from pinet import cli, datagen, train
 from pinet.dataio import Dataset, load_dataset, save_dataset
-from pinet.graph import graph_from_edges
+from pinet.graph import MAX_NODES, graph_from_edges
 from pinet.model import PiNetConfig
 
 
@@ -92,6 +92,14 @@ def test_gen_iso_writes_dataset_and_provenance(capsys, tmp_path):
 
     ds = load_dataset(out)
     assert len(ds) == 6
+
+
+def test_gen_iso_refuses_nodes_over_the_cap(capsys, tmp_path):
+    out = tmp_path / "big.jsonl"
+    code, stdout, err = _run(capsys, ["gen-iso", "--nodes", str(MAX_NODES + 1), "--out", str(out)])
+    assert code == 1
+    assert f"argument --nodes: n_nodes must be at most {MAX_NODES}" in err
+    assert "config:" not in stdout and not out.exists()
 
 
 def test_gen_iso_byte_identical_per_seed(capsys, tmp_path):
@@ -631,8 +639,8 @@ def test_selfcheck_mutation_hook_fails_padding(capsys, monkeypatch):
     from pinet import model
 
     pool = model.attention_pool
-    monkeypatch.setattr(model, "attention_pool", lambda batch, pre, z, axis: pool(
-        replace(batch, mask=np.ones_like(batch.mask)), pre, z, axis))
+    monkeypatch.setattr(model, "attention_pool", lambda batch, pre, z, axis, *ws_key: pool(
+        replace(batch, mask=np.ones_like(batch.mask)), pre, z, axis, *ws_key))
     code, stdout, _ = _run(capsys, ["selfcheck", "--quick"])
     assert code == 2
     lines = stdout.splitlines()

@@ -20,6 +20,7 @@ from pinet.datagen import (
     verify_provenance,
 )
 from pinet.errors import DataFormatError, DomainError, GenerationError
+from pinet.graph import MAX_NODES
 from pinet.tensor import Mat
 
 
@@ -165,6 +166,14 @@ def test_gen_params_validation():
         GenParams(classes=1)
     with pytest.raises(DomainError):
         GenParams(edge_prob=1.0)
+
+
+def test_node_cap_is_checked_before_any_draw():
+    # both checks come before the n x n draw of a random graph
+    with pytest.raises(DomainError, match=f"n_nodes must be at most {MAX_NODES}"):
+        GenParams(n_nodes=MAX_NODES + 1)
+    with pytest.raises(DomainError, match=f"in \\[1, {MAX_NODES}\\]"):
+        sample_er_connected(MAX_NODES + 1, 0.5, seed=0)
 
 
 @pytest.mark.parametrize("field, value", [

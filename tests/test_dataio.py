@@ -11,8 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from pinet.dataio import Dataset, atomic_write, load_dataset, load_tu, save_dataset, tu_files
 from pinet.datagen import GenParams, generate_iso_dataset, load_provenance, save_provenance
 from pinet.errors import DataFormatError, DomainError, ShapeError
-from pinet.graph import (LabeledGraph, Permutation, edges_of, graph_from_edges, pad_graph,
-                         permute_graph)
+from pinet.graph import (MAX_NODES, LabeledGraph, Permutation, edges_of, graph_from_edges,
+                         pad_graph, permute_graph)
 from pinet.model import PiNetConfig, init_params, load_params, save_params
 from pinet.tensor import Mat
 from pinet.train import TrainConfig
@@ -187,6 +187,24 @@ def test_tu_memory_of_the_gen_iso_layout(tmp_path):
     assert all(np.array_equal(g.adjacency.data, h.adjacency.data)
                for g, h in zip(ds.graphs, loaded.graphs))
     assert peak < 1.1 * 20.8 * 2**20, f"load_tu peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_tu_graph_over_the_node_cap_names_the_indicator_file(tmp_path):
+    # MAX_NODES + 1 indicator lines of "1" (8 KiB) would ask for a
+    # 128 MiB adjacency; the cap refuses the graph before it is allocated
+    import tracemalloc
+
+    d = _write_tu(tmp_path, "BIG", ["1, 2"], ["1"] * (MAX_NODES + 1), ["0"])
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError) as err:
+            load_tu(tmp_path, "BIG")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.path == str(d / "BIG_graph_indicator.txt")
+    assert f"{MAX_NODES + 1} nodes exceed the cap" in str(err.value)
+    assert peak < 8 * 2**20, f"load_tu peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_tu_interleaved_indicator_keeps_order_of_appearance(tmp_path):
@@ -444,6 +462,24 @@ def test_load_reports_bad_record_line(tmp_path):
     with pytest.raises(DataFormatError) as err:
         load_dataset(path)
     assert ":3]" in str(err.value)
+
+
+def test_load_refuses_a_record_over_the_node_cap(tmp_path):
+    import tracemalloc
+
+    path = tmp_path / "big.jsonl"
+    save_dataset(_toy_dataset(), path)
+    n = MAX_NODES + 1
+    _edited_line(path, 3, lambda rec: dict(rec, n_real=n, features=[[1.0]] * n))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError) as err:
+            load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.line == 3 and f"{n} nodes exceed the cap" in str(err.value)
+    assert peak < 8 * 2**20, f"load_dataset peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_load_undecodable_bytes_names_the_path(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 
 from pinet.errors import DomainError, ShapeError
 from pinet.graph import (
+    MAX_NODES,
     LabeledGraph,
     Permutation,
     edges_of,
@@ -68,6 +69,20 @@ def test_graph_rejects_nonzero_padding():
     x[2, 0] = 0.0
     with pytest.raises(DomainError):
         LabeledGraph(2, Mat(a), Mat(x), 0)
+
+
+def test_graph_over_the_node_cap_is_refused_before_allocation():
+    # the dense adjacency of MAX_NODES + 1 nodes would take 128 MiB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=f"{MAX_NODES + 1} nodes exceed the cap"):
+            graph_from_edges(MAX_NODES + 1, [(0, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_graph_rejects_out_of_range_edges():

@@ -39,7 +39,7 @@ from pinet.model import (
     predict_classes,
     save_params,
 )
-from pinet.tensor import Mat, Tape, attention_pool, backward, grad_check, propagate
+from pinet.tensor import Mat, Tape, Workspace, attention_pool, backward, grad_check, propagate
 
 
 def _triangle(label=0):
@@ -337,21 +337,23 @@ def test_pq_gradients_flow():
 
 # -- the rank-2 first layer ---------------------------------------------------
 
-def _dense_tower(stack, values, kind, grads):
+def _dense_tower(stack, values, kind, grads, ws, tag):
     """The reference tower: relu(At0 X W0) W1 built as a (B*N) x F0
     stack, whatever the input width."""
     w0, w1 = values[f"w_{kind}0"].data, values[f"w_{kind}1"].data
-    u, vjp0 = propagate(stack, stack.x, values[f"p_{kind}0"], values[f"q_{kind}0"])
+    u, vjp0 = propagate(stack, stack.x, values[f"p_{kind}0"], values[f"q_{kind}0"],
+                        ws, (*tag, "u"))
     h = np.maximum(u @ w0, 0.0)
-    out, vjp1 = propagate(stack, h @ w1, values[f"p_{kind}1"], values[f"q_{kind}1"])
+    out, vjp1 = propagate(stack, h @ w1, values[f"p_{kind}1"], values[f"q_{kind}1"],
+                          ws, (*tag, "out"))
     top = np.maximum(out, 0.0) if kind == "x" else out
 
     def vjp(g):
         g = g * (top > 0) if kind == "x" else g
         g, gp1, gq1 = vjp1(g, True)
-        gh = (g @ w1.T) * (h > 0)
+        gh, gw1 = (g @ w1.T) * (h > 0), h.T @ g  # before vjp0 takes "gh" again
         _, gp0, gq0 = vjp0(gh @ w0.T, True)
-        got = {f"w_{kind}0": u.T @ gh, f"w_{kind}1": h.T @ g, f"p_{kind}0": gp0,
+        got = {f"w_{kind}0": u.T @ gh, f"w_{kind}1": gw1, f"p_{kind}0": gp0,
                f"q_{kind}0": gq0, f"p_{kind}1": gp1, f"q_{kind}1": gq1}
         return {k: v for k, v in got.items() if k in grads or k.startswith("w")}
 
@@ -385,8 +387,8 @@ def test_tower_matches_dense_reference(d, kind, pq):
     values = params.replaced({k: Mat.scalar(pq[0] if k[0] == "p" else pq[1])
                               for k in PQ_NAMES}).values
     grads = tuple(params.trainables())
-    top, vjp = _tower(stack, values, kind, grads)
-    ref_top, ref_vjp = _dense_tower(stack, values, kind, grads)
+    top, vjp = _tower(stack, values, kind, grads, Workspace(), ())
+    ref_top, ref_vjp = _dense_tower(stack, values, kind, grads, Workspace(), ())
     assert _close(top, ref_top)
     g = np.random.default_rng(5).normal(size=top.shape)
     got, ref = vjp(g.copy()), ref_vjp(g.copy())
@@ -487,10 +489,10 @@ def test_predictions_keep_input_order():
 def _one_stack_step(stack, labels, params):
     """Loss and gradients of one stack written as a single readout over
     it, with no rows gathered or scattered."""
-    values, grads = params.values, tuple(params.trainables())
-    z, vjp_x = _tower(stack, values, "x", grads)
-    pre, vjp_a = _tower(stack, values, "a", grads)
-    pooled, vjp_pool = attention_pool(stack, pre, z, params.config.attention_axis)
+    values, grads, ws = params.values, tuple(params.trainables()), Workspace()
+    z, vjp_x = _tower(stack, values, "x", grads, ws, ("x",))
+    pre, vjp_a = _tower(stack, values, "a", grads, ws, ("a",))
+    pooled, vjp_pool = attention_pool(stack, pre, z, params.config.attention_axis, ws, "pool")
     wd = values["w_d"].data
     logits = pooled @ wd
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -522,6 +524,30 @@ def test_one_size_class_is_the_single_stack_step(d, axis):
     assert loss == ref_loss
     for k in grads:
         np.testing.assert_array_equal(grads[k].data, ref_grads[k])
+
+
+def test_results_keep_their_values_after_later_calls():
+    # nothing handed back lives in a workspace: later calls, on graphs of
+    # other sizes and on the same ones, leave every earlier result as it was
+    graphs = _mixed_sizes(1, seed=34)
+    params = init_params(_small_config(C=3, F0=7, F1=5, seed=11))
+    first, later = make_batch(graphs[:6], 3), make_batch(graphs[6:], 3)
+
+    def results(batch, g):
+        _, grads = grads_batch(batch, params)
+        mats = {"loss_batch": loss_batch(batch, params), "forward": forward(g, params),
+                "features": forward_features(g, params), "attention": forward_attention(g, params),
+                **{f"grad {k}": v for k, v in grads.items()}}
+        return {"predict": predict_classes(params, batch.graphs),
+                **{k: m.data for k, m in mats.items()}}
+
+    got = results(first, graphs[0])
+    kept = {k: a.copy() for k, a in got.items()}
+    for batch, g in ((later, graphs[-1]), (first, graphs[0]), (later, graphs[7])):
+        results(batch, g)
+    for k, a in got.items():
+        np.testing.assert_array_equal(a, kept[k], err_msg=k)
+        assert a.base is None, k  # a fresh array, not a view of a buffer
 
 
 # -- the tape adapter ---------------------------------------------------------

@@ -22,6 +22,7 @@ from pinet.tensor import (
     attention_pool,
     attention_softmax,
     backward,
+    Workspace,
     grad_check,
     propagate,
 )
@@ -101,7 +102,7 @@ def test_matmul_identity():
     # return their argument unchanged
     (stack,) = make_batch([graph_from_edges(3, [])], 1).stacks
     h = np.random.default_rng(0).normal(size=(3, 4))
-    out, vjp = propagate(stack, h, 1.0, 1.0)
+    out, vjp = propagate(stack, h, 1.0, 1.0, Workspace(), "out")
     np.testing.assert_array_equal(out, h)
     np.testing.assert_array_equal(vjp(h, False)[0], h)
 
@@ -160,8 +161,8 @@ def test_relu_values():
     params = _params(F1=5)
     params = params.replaced({k.replace("_x", "_a"): params[k] for k in params.values if "_x" in k})
     (stack,) = make_batch([_star()], 2).stacks
-    z = model._tower(stack, params.values, "x", ())[0]
-    pre = model._tower(stack, params.values, "a", ())[0]
+    z = model._tower(stack, params.values, "x", (), Workspace(), ())[0]
+    pre = model._tower(stack, params.values, "a", (), Workspace(), ())[0]
     assert (pre < 0).any() and (pre > 0).any()
     np.testing.assert_array_equal(z, np.maximum(pre, 0.0))
 
@@ -198,7 +199,7 @@ def test_softmax_extreme_values_stay_finite():
 
 def test_attention_softmax_masked_tail():
     pre = np.array([5.0, 5.0, 5.0, 123.0]).reshape(1, 4, 1)
-    out = attention_softmax(pre, np.array([[True, True, True, False]]), "nodes")
+    out = attention_softmax(pre, np.array([[True, True, True, False]]), "nodes", Workspace(), "att")
     np.testing.assert_allclose(out[0, :, 0], [1 / 3, 1 / 3, 1 / 3, 0.0], atol=1e-12)
     assert out[0, 3, 0] == 0.0  # exactly zero, not merely small
 
@@ -208,9 +209,10 @@ def test_attention_softmax_sums_to_one_under_mask():
     pre = rng.normal(size=(2, 7, 5))
     mask = np.array([[True, True, False, True, False, True, True],
                      [False, True, True, True, True, True, False]])
-    nodes = attention_softmax(pre, mask, "nodes")  # each column over real nodes
+    nodes = attention_softmax(pre, mask, "nodes", Workspace(), "att")  # each column over real nodes
     np.testing.assert_allclose(nodes.sum(axis=1), np.ones((2, 5)), atol=1e-12)
-    feats = attention_softmax(pre, mask, "features")  # each real row over features
+    # each real row over features
+    feats = attention_softmax(pre, mask, "features", Workspace(), "att")
     np.testing.assert_allclose(feats.sum(axis=2), mask.astype(float), atol=1e-12)
     for out in (nodes, feats):
         assert (out[~mask] == 0.0).all()
@@ -230,25 +232,27 @@ def test_propagate_rejects_bad_stacks():
     empty, path = _path_stacks()
     assert (empty.rows.tolist(), path.rows.tolist()) == ([1], [0])
     for stack, rows in ((empty, 2), (path, 3)):
-        assert propagate(stack, np.ones((rows, 2)), 0.5, 0.5)[0].shape == (rows, 2)
+        out = propagate(stack, np.ones((rows, 2)), 0.5, 0.5, Workspace(), "out")[0]
+        assert out.shape == (rows, 2)
         with pytest.raises(ShapeError):
-            propagate(stack, np.ones((5, 2)), 0.5, 0.5)
+            propagate(stack, np.ones((5, 2)), 0.5, 0.5, Workspace(), "out")
         with pytest.raises(DomainError):
-            propagate(stack, np.ones((rows, 2)), 1.5, 0.5)
+            propagate(stack, np.ones((rows, 2)), 1.5, 0.5, Workspace(), "out")
         with pytest.raises(DomainError):
-            propagate(stack, np.ones((rows, 2)), 0.5, -0.5)
+            propagate(stack, np.ones((rows, 2)), 0.5, -0.5, Workspace(), "out")
 
 
 def test_propagate_checks_matrix_pq_by_value():
     _, path = _path_stacks()
     h = np.ones((3, 2))
     with pytest.raises(DomainError):
-        propagate(path, h, Mat.scalar(2.0), Mat.scalar(-1.0))
+        propagate(path, h, Mat.scalar(2.0), Mat.scalar(-1.0), Workspace(), "out")
     tape = Tape()
     with pytest.raises(DomainError):
-        propagate(path, h, tape.leaf(Mat.scalar(1.5), "p"), 0.5)
-    out = propagate(path, h, tape.leaf(Mat.scalar(0.5), "p2"), tape.leaf(Mat.scalar(0.5), "q2"))[0]
-    np.testing.assert_array_equal(out, propagate(path, h, 0.5, 0.5)[0])
+        propagate(path, h, tape.leaf(Mat.scalar(1.5), "p"), 0.5, Workspace(), "out")
+    out = propagate(path, h, tape.leaf(Mat.scalar(0.5), "p2"), tape.leaf(Mat.scalar(0.5), "q2"),
+                    Workspace(), "out")[0]
+    np.testing.assert_array_equal(out, propagate(path, h, 0.5, 0.5, Workspace(), "out")[0])
 
 
 @pytest.mark.parametrize("data", [
@@ -288,7 +292,7 @@ def test_non_finite_result_is_a_numerical_error():
     params = init_params(config).replaced({**ones, "w_d": Mat([[1e-308, 0.0]])})
     with np.errstate(over="ignore"):
         with pytest.raises(NumericalError):  # (A + I) 1e308 on a triangle
-            propagate(make_batch([_triangle()], 1).stacks[0], big, 1.0, 1.0)
+            propagate(make_batch([_triangle()], 1).stacks[0], big, 1.0, 1.0, Workspace(), "out")
         with pytest.raises(NumericalError):  # 1e308 * 2 in the first product
             forward(_triangle(features=Mat(big)), params.replaced({"w_x0": Mat.scalar(2.0)}))
         # finite forward, overflowing gradient: pooled rows of 1e308 summed
@@ -332,7 +336,7 @@ def test_attention_pool_zero_weight_on_padding():
     z = np.zeros((6, 3))
     z[2] = 1e6  # a padded node's state must not reach the pooled rows
     for axis in ("nodes", "features"):
-        out = attention_pool(stack, pre, z, axis)[0]
+        out = attention_pool(stack, pre, z, axis, Workspace(), "pool")[0]
         assert out.shape == (2, 6)
         np.testing.assert_array_equal(out[0], np.zeros(6))
 
@@ -351,9 +355,11 @@ def test_grad_check_attention_pool():
         params = {"pre": Mat(rng.normal(size=(b * n, 2))), "z": Mat(rng.normal(size=(b * n, 3)))}
 
         def loss(p):
-            return float((g * attention_pool(stack, p["pre"].data, p["z"].data, axis)[0]).sum())
+            pooled = attention_pool(stack, p["pre"].data, p["z"].data, axis, Workspace(), "pool")[0]
+            return float((g * pooled).sum())
 
-        gpre, gz = attention_pool(stack, params["pre"].data, params["z"].data, axis)[1](g)
+        gpre, gz = attention_pool(stack, params["pre"].data, params["z"].data, axis,
+                                  Workspace(), "pool")[1](g)
         report = grad_check(loss, {"pre": Mat(gpre), "z": Mat(gz)}, params, step=1e-5, tol=1e-6)
         assert report.ok, report.failures[:3]
 
@@ -417,7 +423,7 @@ def test_cross_entropy_rejects_bad_rows():
         make_batch([_star(label=2)], 2)
     batch = make_batch([_star(label=1), _triangle(label=0)], 2)
     np.testing.assert_array_equal(batch.labels, [[0.0, 1.0], [1.0, 0.0]])
-    probs = model._forward(batch, _params(), ())[0]
+    probs = model._forward(batch, _params(), Workspace())[0]
     np.testing.assert_allclose(probs.sum(axis=1), [1.0, 1.0], atol=1e-15)
 
 
@@ -504,12 +510,12 @@ def test_mixing_tapes_rejected():
 
 
 def test_untracked_ops_stay_untracked():
-    # without leaves the forward pass builds no vjp, so none of its
-    # intermediates outlives the call
+    # without leaves the forward pass builds no vjp, so nothing but the
+    # workspace holds its intermediates
     batch, params = make_batch([_star()], 2), _params()
-    assert model._forward(batch, params, ())[2] is None
-    assert model._tower(batch.stacks[0], params.values, "x", ())[1] is None
-    assert model._pool(batch.stacks[0], params.values, "nodes", ())[1] is None
+    assert model._forward(batch, params, Workspace(), ())[2] is None
+    assert model._tower(batch.stacks[0], params.values, "x", (), Workspace(), ())[1] is None
+    assert model._pool(batch.stacks[0], params.values, "nodes", (), Workspace(), 0)[1] is None
     assert not loss_batch(batch, params).is_tracked
 
 

@@ -1,16 +1,18 @@
 """Tests for the optimizer, the fit loop, folds, and cross-validation."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pinet import train
+from pinet import model, train
+from pinet.datagen import GenParams, generate_iso_dataset
 from pinet.errors import DomainError, NumericalError, ShapeError
-from pinet.graph import graph_from_edges
-from pinet.model import PiNetConfig, init_params
-from pinet.tensor import Mat
+from pinet.graph import graph_from_edges, make_batch, pad_graph
+from pinet.model import PiNetConfig, clamp_pq, grads_batch, init_params, predict_classes
+from pinet.tensor import Mat, Workspace
 from pinet.train import (
     ADAM_EPS,
     AdamState,
@@ -233,6 +235,148 @@ def test_evaluate_permutation_stable():
         [permute_graph(g, random_permutation(g.n, i)) for i, g in enumerate(graphs)],
     )
     assert base == moved
+
+
+# -- the workspace that fit and evaluate reuse ---------------------------------
+
+def _stepwise_fit(graphs, tc, mc):
+    """`fit`, step by step through the single-step calls, each of which
+    takes a fresh workspace: `grads_batch`, `adam_step`, `clamp_pq`."""
+    rng = np.random.default_rng(tc.seed)
+    params, state, order, losses = init_params(mc), AdamState(), np.arange(len(graphs)), []
+    for _ in range(tc.epochs):
+        if tc.shuffle:
+            rng.shuffle(order)
+        epoch_loss = 0.0
+        for start in range(0, len(order), tc.batch_size):
+            batch = make_batch([graphs[i] for i in order[start:start + tc.batch_size]], mc.C)
+            loss, grads = grads_batch(batch, params)
+            epoch_loss += loss
+            updated = adam_step(params.trainables(), grads, state, tc.learning_rate)
+            params = clamp_pq(params.replaced(updated))
+        losses.append(epoch_loss)
+    return params, tuple(losses)
+
+
+# Batches of 4 in this order change their size classes, their stack
+# count and each class's B and N from one batch to the next, growing and
+# shrinking, and the second epoch starts small again after the last.
+_MIXED_SIZES = (3, 3, 9, 9, 17, 5, 17, 17, 2, 5, 9, 17, 30, 20, 25, 18, 6, 7, 8, 30, 12, 2)
+
+
+def _mixed_set(d):
+    rng = np.random.default_rng(41)
+    graphs = []
+    for i, n in enumerate(_MIXED_SIZES):
+        edges = [(u, u + 1) for u in range(n - 1)] + [(0, n - 1)] * (n > 2)
+        x = Mat(rng.normal(size=(n, d)))
+        graphs.append(graph_from_edges(n, edges, label=i % 3, features=x))
+    return graphs
+
+
+def _iso_set(d):
+    """One size class, d = 1, as every gen-iso set."""
+    return list(generate_iso_dataset(GenParams(n_nodes=12, classes=3, copies=6, seed=2))[0].graphs)
+
+
+@pytest.mark.parametrize("pq_mode", ["learned", "fixed"])
+@pytest.mark.parametrize("axis", ["nodes", "features"])
+@pytest.mark.parametrize("data, d", [(_iso_set, 1), (_mixed_set, 1), (_mixed_set, 2)],
+                         ids=["iso", "mixed-d1", "mixed-d2"])
+def test_fit_reusing_its_workspace_equals_single_steps(data, d, axis, pq_mode):
+    graphs = data(d)
+    tc = TrainConfig(learning_rate=1e-2, batch_size=4 if data is _mixed_set else 5, epochs=3,
+                     seed=4, shuffle=data is _iso_set)
+    shapes = [[s.adj.shape[:2] for s in make_batch(graphs[i:i + tc.batch_size], 3).stacks]
+              for i in range(0, len(graphs), tc.batch_size)]
+    rows = [b * n for b, n in (s[0] for s in shapes)] * 2  # two epochs of the first stack
+    assert any(a < b for a, b in zip(rows, rows[1:])) and any(a > b for a, b in zip(rows, rows[1:]))
+    if data is _mixed_set:
+        assert len({len(s) for s in shapes}) >= 3
+    mc = PiNetConfig(d=d, C=3, F0=7, F1=5, attention_axis=axis, pq_mode=pq_mode,
+                     fixed_p=0.4, fixed_q=0.7, seed=5)
+    res = fit(graphs, tc, mc)
+    params, losses = _stepwise_fit(graphs, tc, mc)
+    assert res.epoch_losses == losses
+    for k in params.values:
+        np.testing.assert_array_equal(res.params[k].data, params[k].data, err_msg=k)
+
+
+def test_evaluate_reusing_its_workspace_equals_per_chunk_passes(monkeypatch):
+    # five chunks of one to four size classes each; every chunk's
+    # probabilities equal a pass on a fresh workspace, bit for bit
+    graphs = _mixed_set(1)
+    params = fit(graphs, TrainConfig(learning_rate=1e-2, batch_size=4, epochs=2, seed=1),
+                 PiNetConfig(d=1, C=3, F0=7, F1=5, seed=1)).params
+    monkeypatch.setattr(train, "EVAL_CHUNK", 5)
+    seen, forward = [], model._forward
+
+    def spy(batch, params, ws, grads=()):
+        out = forward(batch, params, ws, grads)
+        seen.append((batch, out[0].copy()))
+        return out
+
+    monkeypatch.setattr(model, "_forward", spy)
+    acc = evaluate(params, graphs)
+    monkeypatch.undo()
+    assert [len(b) for b, _ in seen] == [5, 5, 5, 5, 2]
+    assert len({len(b.stacks) for b, _ in seen}) >= 2
+    hits = 0
+    for batch, probs in seen:
+        np.testing.assert_array_equal(probs, model._forward(batch, params, Workspace())[0])
+        preds = predict_classes(params, batch.graphs)
+        hits += sum(int(c) == g.label for c, g in zip(preds, batch.graphs))
+    assert acc == hits / len(graphs)
+
+
+# Run in a fresh interpreter: how many pages glibc hands back between
+# steps depends on what the process allocated and freed before, so the
+# counts of a test run late in a suite say nothing about the change.
+_FAULT_PROBE = """
+import json, resource
+from dataclasses import replace
+from pinet.datagen import GenParams, generate_iso_dataset
+from pinet.model import PiNetConfig
+from pinet.train import TrainConfig, evaluate, fit
+
+def faults(run):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    out = run()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, out
+
+graphs = list(generate_iso_dataset(GenParams(n_nodes=50, classes=5, copies=10, seed=1))[0].graphs)
+mc = PiNetConfig(d=1, C=5, F0=100, F1=64, seed=1)
+tc = TrainConfig(batch_size=50, epochs=1, seed=1)
+fit(graphs, tc, mc)
+fit1, _ = faults(lambda: fit(graphs, tc, mc))
+fit16, res = faults(lambda: fit(graphs, replace(tc, epochs=16), mc))
+eval1, _ = faults(lambda: evaluate(res.params, graphs))
+eval9, _ = faults(lambda: evaluate(res.params, graphs * 9))
+print(json.dumps([fit1, fit16, res.steps, eval1, eval9]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
+def test_steps_after_the_first_reuse_their_pages():
+    # At paper scale a learned step's arrays take about 14 MiB. Freed after
+    # every step, they cost about 2,000 to 4,000 minor faults per step
+    # whenever glibc returned the heap's top to the system in between;
+    # reused from one workspace, only the first step of a fit, and the
+    # first chunk of an evaluate, faults them in.
+    import json
+    import os
+    import subprocess
+
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(train.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True,
+                         text=True, timeout=300, check=True).stdout
+    fit1, fit16, steps, eval1, eval9 = json.loads(out)
+    assert steps == 16
+    assert fit16 <= fit1 + 500 * 15, f"{fit16} faults in 16 steps, {fit1} in one"
+    assert eval9 <= eval1 + 200 * 8, f"{eval9} faults in 9 chunks, {eval1} in one"
 
 
 # -- stratified folds ----------------------------------------------------------
